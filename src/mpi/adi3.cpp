@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
+#include <tuple>
 
 #include "common/error.hpp"
 
@@ -179,7 +180,7 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
       if (look.evictions > 0) obs_.reg_evictions->add(look.evictions);
     }
   }
-  auto rndv = std::make_shared<fabric::RndvState>(data, proc_, clock().now());
+  auto rndv = std::make_shared<fabric::RndvState>(data, proc_);
   env.sent_at = clock().now();
   env.available_at = clock().now();
   env.rndv = rndv;
@@ -195,7 +196,7 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
 }
 
 Request Adi3Engine::post_recv(std::span<std::byte> buffer, int src_world, int tag,
-                              std::uint64_t comm_id, bool immediate) {
+                              std::uint64_t comm_id) {
   auto request = std::make_shared<RequestState>();
   request->kind = RequestState::Kind::Recv;
   request->buffer = buffer;
@@ -204,13 +205,7 @@ Request Adi3Engine::post_recv(std::span<std::byte> buffer, int src_world, int ta
   request->comm_id = comm_id;
   request->posted_at = clock().now();
   posted_.push_back(request);
-  if (immediate) {
-    // A matching message may already be waiting in the unexpected queue.
-    try_complete_recv(*request);
-    if (request->complete)
-      posted_.erase(std::remove(posted_.begin(), posted_.end(), request),
-                    posted_.end());
-  }
+  matcher().post(request);
   return request;
 }
 
@@ -225,47 +220,25 @@ void Adi3Engine::complete_in_arrival_order(std::span<const Request> recvs) {
     if (!request->complete) pending.push_back(request.get());
   }
 
-  // Phase 1: collect every envelope without completing anything — which
-  // messages have arrived at any instant is wall-clock noise.
-  std::vector<std::optional<fabric::Envelope>> matched(pending.size());
-  std::size_t remaining = pending.size();
-  while (remaining > 0) {
-    check_abort();
-    const std::uint64_t seen = job_->matcher(rank_).version();
-    bool any = false;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      if (matched[i]) continue;
-      auto env = job_->matcher(rank_).try_match(pending[i]->src_world,
-                                                pending[i]->tag,
-                                                pending[i]->comm_id);
-      if (env) {
-        matched[i] = std::move(env);
-        --remaining;
-        any = true;
-      }
-    }
-    if (!any && remaining > 0) job_->matcher(rank_).wait_past(seen);
-  }
-
-  // Phase 2: process in virtual arrival order, so the receiver busy chain
-  // is a pure function of the envelopes' timestamps.
-  std::vector<std::size_t> order(pending.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const auto& ea = *matched[a];
-    const auto& eb = *matched[b];
-    if (ea.available_at != eb.available_at) return ea.available_at < eb.available_at;
-    if (ea.src != eb.src) return ea.src < eb.src;
-    return ea.seq < eb.seq;
+  // Wait until every receive is matched, completing nothing meanwhile —
+  // which messages have arrived at any instant is wall-clock noise.
+  block_until([&] {
+    return std::all_of(pending.begin(), pending.end(), [](const RequestState* r) {
+      return r->matched.load(std::memory_order_acquire);
+    });
   });
-  for (const std::size_t i : order) {
-    RequestState& request = *pending[i];
-    if (matched[i]->protocol == fabric::Protocol::Eager)
-      complete_eager(request, *matched[i]);
-    else
-      complete_rendezvous(request, *matched[i]);
+
+  // Complete in virtual arrival order, so the receiver busy chain is a pure
+  // function of the envelopes' timestamps.
+  std::sort(pending.begin(), pending.end(), [](const RequestState* a,
+                                               const RequestState* b) {
+    return std::tie(a->envelope.available_at, a->envelope.src, a->envelope.seq) <
+           std::tie(b->envelope.available_at, b->envelope.src, b->envelope.seq);
+  });
+  for (RequestState* request : pending) {
+    complete_recv(*request);
     posted_.erase(std::remove_if(posted_.begin(), posted_.end(),
-                                 [&](const Request& r) { return r.get() == &request; }),
+                                 [&](const Request& r) { return r.get() == request; }),
                   posted_.end());
   }
 }
@@ -315,20 +288,19 @@ void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& en
 
   // Back-to-back rendezvous pulls serialize on the receiving CPU/NIC.
   const Micros match_at = std::max(request.posted_at, recv_busy_until_);
-  (void)match_at;
 
   fabric::RndvTimes times{};
-  auto result = osl::cma::Result::Ok;
   switch (env.channel) {
-    case fabric::ChannelKind::Cma:
+    case fabric::ChannelKind::Cma: {
       times = job_->cma->rndv_times(env.size, env.same_socket, env.available_at,
                                     match_at);
-      result = job_->cma->pull(*proc_, rndv, dst);
+      const auto result = job_->cma->pull(*proc_, rndv, dst);
       CBMPI_REQUIRE(result == osl::cma::Result::Ok,
                     "CMA transfer failed: ", osl::cma::to_string(result),
                     " — containers must share the host PID namespace "
                     "(--pid=host) for the CMA channel");
       break;
+    }
     case fabric::ChannelKind::Shm:
       times = job_->shm->rndv_times(env.size, env.same_socket, env.available_at,
                                     match_at);
@@ -381,7 +353,8 @@ void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& en
                                                      : times.receiver_done;
   request.status = Status{env.src, env.tag, env.size};
   request.complete = true;
-  rndv.complete(times.sender_done, result);
+  rndv.complete(times.sender_done);
+  job_->matcher(env.src).poke();
 
   if (job_->trace) {
     job_->trace->record({sim::TraceKind::RecvRndvCts, rank_, env.src, 0,
@@ -413,25 +386,24 @@ void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& en
         static_cast<std::uint64_t>(request.complete_at - request.posted_at));
 }
 
-bool Adi3Engine::try_complete_recv(RequestState& request) {
-  if (request.complete) return true;
-  auto env = job_->matcher(rank_).try_match(request.src_world, request.tag,
-                                            request.comm_id);
-  if (!env) return false;
-  if (env->protocol == fabric::Protocol::Eager)
-    complete_eager(request, *env);
+void Adi3Engine::complete_recv(RequestState& request) {
+  // Moving the envelope out frees its payload once completion is done.
+  fabric::Envelope env = std::move(request.envelope);
+  if (env.protocol == fabric::Protocol::Eager)
+    complete_eager(request, env);
   else
-    complete_rendezvous(request, *env);
-  return true;
+    complete_rendezvous(request, env);
 }
 
-void Adi3Engine::progress_posted() {
+void Adi3Engine::progress() {
   auto it = posted_.begin();
   while (it != posted_.end()) {
-    if (try_complete_recv(**it))
+    if ((*it)->matched.load(std::memory_order_acquire)) {
+      complete_recv(**it);
       it = posted_.erase(it);
-    else
+    } else {
       ++it;
+    }
   }
 }
 
@@ -442,12 +414,12 @@ bool Adi3Engine::test(const Request& request) {
       break;  // complete since start_send
     case RequestState::Kind::SendRndv:
       if (!request->complete && request->rndv->done()) {
-        request->complete_at = request->rndv->wait_sender_complete();
+        request->complete_at = request->rndv->sender_complete_at();
         request->complete = true;
       }
       break;
     case RequestState::Kind::Recv:
-      progress_posted();
+      progress();
       break;
   }
   if (request->complete) clock().advance_to(request->complete_at);
@@ -456,33 +428,18 @@ bool Adi3Engine::test(const Request& request) {
 
 Status Adi3Engine::wait(const Request& request) {
   CBMPI_REQUIRE(request != nullptr, "wait on null request");
-  switch (request->kind) {
-    case RequestState::Kind::SendEager:
-      break;
-    case RequestState::Kind::SendRndv:
-      while (!request->complete) {
-        check_abort();
-        if (request->rndv->wait_done_for(std::chrono::milliseconds(20))) {
-          request->complete_at = request->rndv->wait_sender_complete();
-          request->complete = true;
-        }
-        // While blocked in a rendezvous send, keep progressing posted
-        // receives so head-to-head large transfers cannot deadlock the way
-        // a progress-less implementation would.
-        progress_posted();
+  // While blocked, keep completing matched receives so head-to-head
+  // rendezvous sends cannot deadlock the way a progress-less implementation
+  // would.
+  if (!request->complete)
+    block_until([&] {
+      if (request->kind == RequestState::Kind::SendRndv && request->rndv->done()) {
+        request->complete_at = request->rndv->sender_complete_at();
+        request->complete = true;
       }
-      break;
-    case RequestState::Kind::Recv: {
-      while (!request->complete) {
-        check_abort();
-        const std::uint64_t seen = job_->matcher(rank_).version();
-        progress_posted();
-        if (request->complete) break;
-        job_->matcher(rank_).wait_past(seen);
-      }
-      break;
-    }
-  }
+      progress();
+      return request->complete;
+    });
   clock().advance_to(request->complete_at);
   check_crash();
   return request->status;
@@ -580,13 +537,15 @@ void Adi3Engine::cancel(const Request& request) {
   CBMPI_REQUIRE(request != nullptr, "cancel on null request");
   CBMPI_REQUIRE(request->kind == RequestState::Kind::Recv,
                 "only receive requests can be cancelled");
-  posted_.erase(std::remove(posted_.begin(), posted_.end(), request), posted_.end());
+  // A receive the matcher already bound completes normally.
+  if (matcher().cancel(request))
+    posted_.erase(std::remove(posted_.begin(), posted_.end(), request), posted_.end());
 }
 
 std::optional<Status> Adi3Engine::iprobe(int src_world, int tag,
                                          std::uint64_t comm_id) {
-  progress_posted();
-  return job_->matcher(rank_).peek(src_world, tag, comm_id);
+  progress();
+  return matcher().peek(src_world, tag, comm_id);
 }
 
 }  // namespace cbmpi::mpi

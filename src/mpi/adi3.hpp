@@ -1,15 +1,19 @@
 // ADI3-like progress engine: byte-level point-to-point protocols.
 //
-// One engine per rank, driven by that rank's thread. It owns the list of
-// posted (pending) receives and implements the eager and rendezvous
-// protocols over whichever channel the selector picked.
+// One engine per rank, driven by that rank's thread. Matching lives in the
+// rank's Matcher (posted and unexpected queues under one lock); the engine
+// keeps only completion — payload copy, virtual-time charge, rendezvous pull
+// and spans — of the receives the matcher bound, and implements the eager
+// and rendezvous protocols over whichever channel the selector picked.
 //
 // Progress semantics mirror a single-threaded MPI library without an async
 // progress thread: transfers advance only inside MPI calls. Any blocking
-// call (and every test) progresses *all* posted receives, not just the one
-// being waited on — that is what lets a peer's blocking rendezvous send
-// complete while this rank waits on an unrelated request, exactly like a
-// real progress engine.
+// call (and every test) completes *all* matched receives, in post order, not
+// just the one being waited on — that is what lets a peer's blocking
+// rendezvous send complete while this rank waits on an unrelated request,
+// exactly like a real progress engine. A blocked rank sleeps on its own
+// matcher; deliveries, a peer finishing its rendezvous send and job aborts
+// all wake it.
 //
 // Virtual-time rules:
 //   * eager completion  = max(posted_at, available_at) + receiver_cost
@@ -44,27 +48,40 @@ class Adi3Engine {
   const JobState& job() const { return *job_; }
   prof::RankProfile& profile() { return job_->rank_profile(rank_); }
 
+  /// Blocks until `done()` returns true, sleeping on this rank's matcher:
+  /// deliveries, a peer finishing our rendezvous send and job aborts all
+  /// bump its version. The version is read before the abort flag and
+  /// `done()` are checked, so a wake-up that lands in between is not lost.
+  /// Throws AbortedError once another rank failed the job.
+  template <typename Done>
+  void block_until(Done done) {
+    while (true) {
+      const std::uint64_t seen = matcher().version();
+      check_abort();
+      if (done()) return;
+      matcher().wait_past(seen);
+    }
+  }
+
   /// Starts a send; the returned request is complete immediately for eager
   /// transfers and completes via the receiver for rendezvous ones. The data
   /// span must stay valid until the request completes.
   Request start_send(std::span<const std::byte> data, int dst_world, int tag,
                      std::uint64_t comm_id);
 
-  /// Posts a receive. The buffer must stay valid until completion.
-  /// With immediate=false the engine skips the match attempt against
-  /// already-arrived messages at post time; pair with
-  /// complete_in_arrival_order().
+  /// Posts a receive with the matcher. The buffer must stay valid until
+  /// completion; the receive completes in a later test/wait.
   Request post_recv(std::span<std::byte> buffer, int src_world, int tag,
-                    std::uint64_t comm_id, bool immediate = true);
+                    std::uint64_t comm_id);
 
   /// Completes every receive in `recvs`, processing messages in *virtual*
   /// arrival order (available_at, src, seq) rather than wall-clock arrival
   /// order — the receiver busy chain then serializes identically
   /// run-to-run no matter how sender threads were scheduled. Blocks until
-  /// all matching messages have been delivered, so every matching send
-  /// must already be started and non-blocking (e.g. alltoall, where each
-  /// rank posts all transfers before waiting). Wildcard receives are not
-  /// supported here.
+  /// all of them are matched, so every matching send must already be
+  /// started and non-blocking (e.g. alltoall, where each rank posts all
+  /// transfers before waiting), and no test/wait may run between posting
+  /// them and this call. Wildcard receives are not supported here.
   void complete_in_arrival_order(std::span<const Request> recvs);
 
   /// Non-blocking progress + completion check (MPI_Test).
@@ -90,6 +107,7 @@ class Adi3Engine {
   void check_crash();
 
  private:
+  Matcher& matcher() { return job_->matcher(rank_); }
   void check_abort() const;
   [[noreturn]] void raise_crash();
   /// Fault injection: charges the sender for transient HCA failures of this
@@ -97,8 +115,9 @@ class Adi3Engine {
   /// jitter — and throws (per-rank abort, failing rank identified) once the
   /// retry budget is exhausted. No-op when no injector is attached.
   void charge_hca_retries(int dst_world, std::uint64_t seq, Bytes size);
-  void progress_posted();
-  bool try_complete_recv(RequestState& request);
+  /// Completes every matched receive, in post order.
+  void progress();
+  void complete_recv(RequestState& request);
   void complete_eager(RequestState& request, fabric::Envelope& env);
   void complete_rendezvous(RequestState& request, fabric::Envelope& env);
   std::uint64_t queue_pair_key(int dst_world) const;
@@ -145,6 +164,7 @@ class Adi3Engine {
   std::map<const void*, std::uint64_t> reg_buffer_ids_;
 
   std::uint64_t next_seq_ = 0;
+  /// Receives posted by this rank and not yet completed, in post order.
   std::vector<Request> posted_;
   /// Receiver-side copies/pulls serialize on this rank's CPU: the next
   /// incoming payload cannot start processing before the previous one

@@ -425,7 +425,7 @@ void Communicator::alltoall_bruck(std::span<const T> send_data,
 // Spread: every transfer posted non-blocking at once; maximum overlap,
 // maximum simultaneous buffer pressure. With n-1 receives in flight the
 // receiver busy chain must not depend on wall-clock arrival order, so the
-// receives are posted deferred and completed in virtual arrival order.
+// receives are completed in virtual arrival order.
 template <typename T>
 void Communicator::alltoall_spread(std::span<const T> send_data,
                                    std::span<T> recv_data, std::size_t block,
@@ -439,7 +439,7 @@ void Communicator::alltoall_spread(std::span<const T> send_data,
     const int peer = (rank() + step) % n;
     recvs.push_back(raw_irecv(
         std::span<T>(recv_data.data() + block * static_cast<std::size_t>(peer), block),
-        peer, tag, /*immediate=*/false));
+        peer, tag));
   }
   for (int step = 1; step < n; ++step) {
     const int peer = (rank() + step) % n;

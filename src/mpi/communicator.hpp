@@ -248,7 +248,7 @@ class Communicator {
   template <typename T>
   Request raw_isend(std::span<const T> data, int dst, int tag);
   template <typename T>
-  Request raw_irecv(std::span<T> buffer, int src, int tag, bool immediate = true);
+  Request raw_irecv(std::span<T> buffer, int src, int tag);
   template <typename T>
   void raw_send(std::span<const T> data, int dst, int tag);
   template <typename T>
@@ -393,11 +393,10 @@ Request Communicator::raw_isend(std::span<const T> data, int dst, int tag) {
 }
 
 template <typename T>
-Request Communicator::raw_irecv(std::span<T> buffer, int src, int tag,
-                                bool immediate) {
+Request Communicator::raw_irecv(std::span<T> buffer, int src, int tag) {
   const int src_world = src == kAnySource ? kAnySource : to_world(src);
   return engine_->post_recv(detail::as_writable_bytes_checked(buffer), src_world,
-                            tag, id_, immediate);
+                            tag, id_);
 }
 
 template <typename T>

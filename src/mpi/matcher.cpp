@@ -1,20 +1,10 @@
 #include "mpi/matcher.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <tuple>
 #include <vector>
 
 namespace cbmpi::mpi {
-
-void Matcher::deliver(fabric::Envelope envelope) {
-  {
-    const std::scoped_lock lock(mutex_);
-    unexpected_.push_back(std::move(envelope));
-    ++version_;
-  }
-  cv_.notify_all();
-}
 
 namespace {
 bool matches(const fabric::Envelope& env, int src_world, int tag, std::uint64_t comm_id) {
@@ -23,10 +13,36 @@ bool matches(const fabric::Envelope& env, int src_world, int tag, std::uint64_t 
   if (tag != kAnyTag && env.tag != tag) return false;
   return true;
 }
+
+bool matches(const fabric::Envelope& env, const RequestState& request) {
+  return matches(env, request.src_world, request.tag, request.comm_id);
+}
+
+/// Hands `env` to the owning rank. Called under the matcher lock; the
+/// release store publishes the envelope to the owner's acquire load.
+void bind(RequestState& request, fabric::Envelope env) {
+  request.envelope = std::move(env);
+  request.matched.store(true, std::memory_order_release);
+}
 }  // namespace
 
-std::optional<fabric::Envelope> Matcher::try_match(int src_world, int tag,
-                                                   std::uint64_t comm_id) {
+void Matcher::deliver(fabric::Envelope envelope) {
+  {
+    const std::scoped_lock lock(mutex_);
+    const auto it = std::find_if(posted_.begin(), posted_.end(),
+                                 [&](const Request& r) { return matches(envelope, *r); });
+    if (it != posted_.end()) {
+      bind(**it, std::move(envelope));
+      posted_.erase(it);
+    } else {
+      unexpected_.push_back(std::move(envelope));
+    }
+    ++version_;
+  }
+  cv_.notify_all();
+}
+
+void Matcher::post(const Request& request) {
   const std::scoped_lock lock(mutex_);
   auto best = unexpected_.end();
   // Per-sender candidates are the *first* matching envelope from each sender
@@ -35,8 +51,8 @@ std::optional<fabric::Envelope> Matcher::try_match(int src_world, int tag,
   // availability wins; ties break by source rank then sequence number.
   std::vector<int> seen_sources;
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-    if (!matches(*it, src_world, tag, comm_id)) continue;
-    if (src_world != kAnySource) {
+    if (!matches(*it, *request)) continue;
+    if (request->src_world != kAnySource) {
       best = it;
       break;
     }
@@ -50,10 +66,20 @@ std::optional<fabric::Envelope> Matcher::try_match(int src_world, int tag,
       best = it;
     }
   }
-  if (best == unexpected_.end()) return std::nullopt;
-  fabric::Envelope env = std::move(*best);
+  if (best == unexpected_.end()) {
+    posted_.push_back(request);
+    return;
+  }
+  bind(*request, std::move(*best));
   unexpected_.erase(best);
-  return env;
+}
+
+bool Matcher::cancel(const Request& request) {
+  const std::scoped_lock lock(mutex_);
+  const auto it = std::find(posted_.begin(), posted_.end(), request);
+  if (it == posted_.end()) return false;
+  posted_.erase(it);
+  return true;
 }
 
 std::optional<Status> Matcher::peek(int src_world, int tag, std::uint64_t comm_id) const {
@@ -72,7 +98,7 @@ std::uint64_t Matcher::version() const {
 
 void Matcher::wait_past(std::uint64_t seen) const {
   std::unique_lock lock(mutex_);
-  cv_.wait_for(lock, std::chrono::milliseconds(20), [&] { return version_ != seen; });
+  cv_.wait(lock, [&] { return version_ != seen; });
 }
 
 void Matcher::poke() {

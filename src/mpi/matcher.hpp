@@ -1,12 +1,23 @@
-// Per-rank message matcher: the unexpected-message queue.
+// Per-rank matching engine: the posted-receive and unexpected-message queues.
 //
-// Senders (other threads) deliver envelopes; the owning rank matches them
-// against receives by (source, tag, communicator). Matching preserves the
-// MPI non-overtaking rule: envelopes from one sender are scanned in delivery
-// order, which equals that sender's program order. For wildcard receives the
-// match picks the candidate with the earliest virtual availability (ties
-// broken by source rank, then sequence number) to keep simulations as
-// deterministic as possible.
+// Follows the dual-queue model of MPICH's CH3 device. Both queues sit under
+// one mutex, so every match decision is atomic:
+//   * deliver() (sender threads) binds an arriving envelope to the first
+//     matching receive in post order, or queues it as unexpected;
+//   * post() (the owning rank) binds a new receive to an unexpected envelope,
+//     or appends it to the posted queue.
+// Invariant: no unexpected envelope matches any posted receive. Matching
+// preserves the MPI non-overtaking rule: envelopes from one sender are
+// scanned in delivery order, which equals that sender's program order. A
+// wildcard receive posted after several senders' messages arrived takes the
+// candidate with the earliest virtual availability (ties broken by source
+// rank, then sequence number) to keep simulations as deterministic as
+// possible.
+//
+// The matcher only binds; completion (copy, virtual-time charge, rendezvous
+// pull) is the owning rank's Adi3Engine's job. Every blocked rank sleeps on
+// its own matcher's condition variable: deliveries, rendezvous completions
+// reported by a peer and job aborts all wake it through version().
 #pragma once
 
 #include <condition_variable>
@@ -25,30 +36,34 @@ class Matcher {
   /// Called by sender threads.
   void deliver(fabric::Envelope envelope);
 
-  /// Removes and returns the first envelope matching (src, tag, comm);
-  /// src/tag may be wildcards. Returns nullopt if nothing matches now.
-  std::optional<fabric::Envelope> try_match(int src_world, int tag,
-                                            std::uint64_t comm_id);
+  /// Called by the owning rank: binds `request` to a waiting unexpected
+  /// envelope (RequestState::matched) or appends it to the posted queue.
+  void post(const Request& request);
 
-  /// Non-destructive variant for MPI_Iprobe.
+  /// Withdraws a still-posted receive; false if it was already matched.
+  bool cancel(const Request& request);
+
+  /// Non-destructive unexpected-queue lookup for MPI_Iprobe.
   std::optional<Status> peek(int src_world, int tag, std::uint64_t comm_id) const;
 
-  /// Monotone counter incremented on every delivery; used by blocking ops to
-  /// sleep until something new arrives.
+  /// Monotone counter bumped on every delivery and poke; blocked ranks read
+  /// it, re-check their condition, then sleep in wait_past().
   std::uint64_t version() const;
 
-  /// Blocks (wall-clock) until version() != seen, or ~20 ms elapse (the
-  /// timeout lets blocked ranks observe a job abort).
+  /// Blocks (wall-clock) until version() != seen.
   void wait_past(std::uint64_t seen) const;
 
-  /// Wakes all waiters without delivering anything (abort propagation).
+  /// Wakes the owner without delivering anything: a peer finished this
+  /// rank's rendezvous send, or the job aborted.
   void poke();
 
+  /// Depth of the unexpected queue.
   std::size_t pending() const;
 
  private:
   mutable std::mutex mutex_;
   mutable std::condition_variable cv_;
+  std::deque<Request> posted_;
   std::deque<fabric::Envelope> unexpected_;
   std::uint64_t version_ = 0;
 };

@@ -1,6 +1,7 @@
 // Basic MPI-level types: wildcards, status, reduction operators, requests.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -65,8 +66,9 @@ void apply_reduce(ReduceOp op, std::span<const T> in, std::span<T> inout) {
 }
 
 /// Request shared state. A request is produced by isend/irecv and consumed by
-/// test/wait on the owning rank's thread; only the rendezvous sub-state is
-/// shared with the peer (and is internally synchronized).
+/// test/wait on the owning rank's thread. A receive is shared with sender
+/// threads only through its matcher (which binds `envelope` under its lock),
+/// a rendezvous send only through its RndvState.
 struct RequestState {
   enum class Kind : std::uint8_t { SendEager, SendRndv, Recv };
 
@@ -81,6 +83,10 @@ struct RequestState {
   int tag = kAnyTag;
   std::uint64_t comm_id = 0;
   Micros posted_at = 0.0;
+  /// Set once the matcher bound `envelope` to this receive; the owning rank
+  /// reads `envelope` only after observing it.
+  std::atomic<bool> matched{false};
+  fabric::Envelope envelope;
 
   // --- rendezvous send bookkeeping ---------------------------------------
   std::shared_ptr<fabric::RndvState> rndv;

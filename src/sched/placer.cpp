@@ -277,6 +277,7 @@ std::unique_ptr<Placer> make_placer(PlacementPolicy policy, std::uint64_t seed,
           host_hops ? *host_hops : std::vector<std::vector<int>>{});
   }
   CBMPI_REQUIRE(false, "unknown placement policy");
+  return nullptr;
 }
 
 PlacementStats placement_stats(const JobSpec& job, const Placement& placement,

@@ -1,10 +1,12 @@
 // Property-style point-to-point tests: payload integrity and ordering across
 // the full (message size x channel x deployment) space, plus edge cases
-// (zero-size messages, self-sends, many outstanding requests, determinism,
-// trace protocol structure).
+// (zero-size messages, self-sends, many outstanding requests, posted-order
+// matching, cancellation, determinism, trace protocol structure).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
+#include <thread>
 
 #include "mpi/runtime.hpp"
 
@@ -222,6 +224,85 @@ TEST(Pt2PtEdge, ManyOutstandingRequestsDrainCorrectly) {
       p.world().wait_all(reqs);
       for (int m = 0; m < kCount; ++m)
         ASSERT_EQ(bufs[static_cast<std::size_t>(m)][3], m);
+    }
+  });
+}
+
+// Steps two ranks through a fixed interleaving: each rank moves the shared
+// stage forward and waits for the peer's next step.
+void await_stage(const std::atomic<int>& stage, int value) {
+  while (stage.load() != value) std::this_thread::yield();
+}
+
+TEST(Pt2PtOrder, OlderPostedReceiveMatchesFirst) {
+  JobConfig cfg;
+  cfg.deployment = DeploymentSpec::native_hosts(1, 2);
+  std::atomic<int> stage{0};
+  mpi::run_job(cfg, [&stage](mpi::Process& p) {
+    if (p.rank() == 0) {
+      const int m0 = 0, m1 = 1;
+      await_stage(stage, 1);
+      auto s0 = p.world().isend(std::span<const int>(&m0, 1), 1, 2);
+      stage = 2;
+      await_stage(stage, 3);
+      auto s1 = p.world().isend(std::span<const int>(&m1, 1), 1, 2);
+      p.world().wait(s0);
+      p.world().wait(s1);
+    } else {
+      int a = -1, b = -1;
+      auto ra = p.world().irecv(std::span<int>(&a, 1), 0, 2);
+      stage = 1;
+      await_stage(stage, 2);  // m0 has been delivered while only A is posted
+      auto rb = p.world().irecv(std::span<int>(&b, 1), 0, 2);
+      stage = 3;
+      p.world().wait(ra);
+      p.world().wait(rb);
+      EXPECT_EQ(a, 0) << "the older posted receive must take the first message";
+      EXPECT_EQ(b, 1);
+    }
+  });
+}
+
+TEST(Pt2PtOrder, CancelledReceiveLeavesMessageForLaterReceive) {
+  JobConfig cfg;
+  cfg.deployment = DeploymentSpec::native_hosts(1, 2);
+  std::atomic<int> stage{0};
+  mpi::run_job(cfg, [&stage](mpi::Process& p) {
+    if (p.rank() == 0) {
+      await_stage(stage, 1);
+      p.world().send_value<int>(42, 1, 4);
+      stage = 2;
+    } else {
+      int a = -1, b = -1;
+      auto ra = p.world().irecv(std::span<int>(&a, 1), 0, 4);
+      p.world().cancel(ra);
+      stage = 1;
+      await_stage(stage, 2);
+      p.world().recv(std::span<int>(&b, 1), 0, 4);
+      EXPECT_EQ(b, 42);
+      EXPECT_FALSE(p.world().test(ra)) << "a cancelled receive never completes";
+      EXPECT_EQ(a, -1);
+    }
+  });
+}
+
+TEST(Pt2PtOrder, CancelAfterMatchCompletesNormally) {
+  JobConfig cfg;
+  cfg.deployment = DeploymentSpec::native_hosts(1, 2);
+  std::atomic<int> stage{0};
+  mpi::run_job(cfg, [&stage](mpi::Process& p) {
+    if (p.rank() == 0) {
+      await_stage(stage, 1);
+      p.world().send_value<int>(7, 1, 4);
+      stage = 2;
+    } else {
+      int a = -1;
+      auto ra = p.world().irecv(std::span<int>(&a, 1), 0, 4);
+      stage = 1;
+      await_stage(stage, 2);  // the message is already bound to A
+      p.world().cancel(ra);
+      p.world().wait(ra);
+      EXPECT_EQ(a, 7);
     }
   });
 }
