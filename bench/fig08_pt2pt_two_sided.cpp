@@ -9,7 +9,7 @@
 #include "bench_util.hpp"
 
 #include "apps/osu/microbench.hpp"
-#include "sim/trace_export.hpp"
+#include "obs/report.hpp"
 
 using namespace cbmpi;
 using namespace cbmpi::bench;
@@ -128,14 +128,13 @@ int main(int argc, char** argv) {
                     "Opt within ~25% of native at 1 KiB");
 
   // Observability must be free in virtual time: rerun one point with the
-  // full obs layer (metrics + spans + instant trace) attached and compare
+  // full obs layer (metrics + spans) attached and compare
   // job times. The acceptance bar is <5%; the design gives exactly 0%.
   {
     auto modes = make_modes(1, 2, 2, container::SocketPolicy::SameSocket);
     modes.opt.seed = seed;
     const auto plain = measure(modes.opt, Metric::Latency, 1_KiB, iters);
     modes.opt.observe = true;
-    modes.opt.record_trace = true;
     const auto observed = measure(modes.opt, Metric::Latency, 1_KiB, iters);
     const double overhead =
         plain.result.job_time == 0.0
@@ -151,7 +150,7 @@ int main(int argc, char** argv) {
     print_shape_check(overhead < 0.05, "observability costs <5% virtual time");
     if (!trace_file.empty()) {
       std::ofstream(trace_file, std::ios::binary)
-          << sim::to_chrome_trace(observed.result.trace);
+          << obs::to_perfetto(observed.result.spans);
       std::printf("trace written to %s\n", trace_file.c_str());
     }
   }

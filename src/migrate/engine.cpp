@@ -346,11 +346,6 @@ mpi::JobResult Engine::run(const mpi::JobConfig& config,
   for (std::size_t i = 0; i < move.ranks.size(); ++i)
     out.profile.total.add_recovery(transfer_pause);
   out.hca_queue_pairs = seg2.hca_queue_pairs;
-  out.trace = std::move(seg1.trace);
-  for (sim::TraceEvent event : seg2.trace) {
-    event.at += offset;
-    out.trace.push_back(std::move(event));
-  }
   out.fault_report = merge_faults(seg1.fault_report, seg2.fault_report, offset);
   out.net = seg2.net;
   if (seg1.net.enabled) {

@@ -71,18 +71,6 @@ const net::TransferCtx* Adi3Engine::fabric_ctx(int src_rank, int dst_rank,
   return &ctx;
 }
 
-void Adi3Engine::trace_congestion(const net::TransferCtx* ctx, int src, int dst,
-                                  Bytes size, Micros at) {
-  if (ctx == nullptr || job_->congestion == nullptr || job_->trace == nullptr)
-    return;
-  const double factor = job_->congestion->factor(ctx->key);
-  if (factor <= 1.0) return;
-  std::ostringstream os;
-  os << "x" << factor << " over " << job_->fabric->hops(ctx->src_host, ctx->dst_host)
-     << " hops";
-  job_->trace->record({sim::TraceKind::NetCongest, src, dst, size, at, os.str()});
-}
-
 Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, int tag,
                                std::uint64_t comm_id) {
   CBMPI_REQUIRE(dst_world >= 0 && dst_world < job_->nranks,
@@ -141,7 +129,6 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
           job_->net_log->record({ctx.key, ctx.src_host, ctx.dst_host, size,
                                  clock().now() + job_->profile->hca_post_overhead,
                                  decision.sriov});
-        trace_congestion(ctxp, rank_, dst_world, size, clock().now());
         env.payload.assign(data.begin(), data.end());
         break;
       }
@@ -153,10 +140,6 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
     env.sent_at = clock().now();
     env.available_at = clock().now() + costs.delivery;
     env.receiver_cost = costs.receiver;
-
-    if (job_->trace)
-      job_->trace->record({sim::TraceKind::SendEager, rank_, dst_world, size,
-                           clock().now(), fabric::to_string(decision.channel)});
 
     request->kind = RequestState::Kind::SendEager;
     request->complete = true;
@@ -184,10 +167,6 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
   env.sent_at = clock().now();
   env.available_at = clock().now();
   env.rndv = rndv;
-
-  if (job_->trace)
-    job_->trace->record({sim::TraceKind::SendRndvRts, rank_, dst_world, size,
-                         clock().now(), fabric::to_string(decision.channel)});
 
   request->kind = RequestState::Kind::SendRndv;
   request->rndv = std::move(rndv);
@@ -255,9 +234,6 @@ void Adi3Engine::complete_eager(RequestState& request, fabric::Envelope& env) {
   recv_busy_until_ = request.complete_at;
   request.status = Status{env.src, env.tag, env.size};
   request.complete = true;
-  if (job_->trace)
-    job_->trace->record({sim::TraceKind::RecvComplete, env.src, rank_, env.size,
-                         request.complete_at, fabric::to_string(env.channel)});
   if (job_->spans) {
     obs::Span span{"eager", obs::SpanCat::Proto, rank_, env.src,
                    static_cast<int>(env.channel), env.size, start,
@@ -342,7 +318,6 @@ void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& en
       if (ctxp != nullptr && job_->net_log != nullptr)
         job_->net_log->record({ctx.key, ctx.src_host, ctx.dst_host, env.size,
                                times.inject_begin, env.sriov});
-      trace_congestion(ctxp, env.src, rank_, env.size, times.inject_begin);
       if (env.size > 0) std::memcpy(dst.data(), rndv.source().data(), env.size);
       break;
     }
@@ -356,12 +331,6 @@ void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& en
   rndv.complete(times.sender_done);
   job_->matcher(env.src).poke();
 
-  if (job_->trace) {
-    job_->trace->record({sim::TraceKind::RecvRndvCts, rank_, env.src, 0,
-                         request.posted_at, fabric::to_string(env.channel)});
-    job_->trace->record({sim::TraceKind::SendRndvData, env.src, rank_, env.size,
-                         times.receiver_done, fabric::to_string(env.channel)});
-  }
   if (job_->spans) {
     // The whole handshake: RTS availability through receiver-side
     // completion, on the channel's track.
@@ -458,9 +427,6 @@ void Adi3Engine::charge_hca_retries(int dst_world, std::uint64_t seq, Bytes size
                           : faults::FaultKind::HcaTransient;
     job_->fault_log->record_fault(
         rank_, {kind, rank_, dst_world, clock().now(), to_string(kind)});
-    if (job_->trace)
-      job_->trace->record({sim::TraceKind::FaultInject, rank_, dst_world, size,
-                           clock().now(), to_string(kind)});
 
     if (attempt >= tuning.hca_max_retries) {
       std::ostringstream os;
@@ -477,9 +443,6 @@ void Adi3Engine::charge_hca_retries(int dst_world, std::uint64_t seq, Bytes size
     profile().add_recovery(delay);
     job_->fault_log->add_retry(rank_, kind);
     job_->fault_log->add_time_lost(rank_, delay);
-    if (job_->trace)
-      job_->trace->record({sim::TraceKind::Retry, rank_, dst_world, size,
-                           clock().now(), "HCA"});
     if (job_->spans)
       job_->spans->record({"hca-retry", obs::SpanCat::Fault, rank_, dst_world, -1,
                            size, clock().now() - delay, clock().now(),
@@ -512,9 +475,6 @@ void Adi3Engine::raise_crash() {
         rank_, {kind, rank_, -1, when,
                 std::string(to_string(kind)) + " on host " +
                     std::to_string(host) + " (injected)"});
-  if (job_->trace)
-    job_->trace->record(
-        {sim::TraceKind::FaultInject, rank_, -1, 0, when, to_string(kind)});
   if (job_->spans)
     job_->spans->record({"crash", obs::SpanCat::Fault, rank_, -1, -1, 0, when,
                          when, to_string(kind)});

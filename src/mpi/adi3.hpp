@@ -127,10 +127,6 @@ class Adi3Engine {
   const net::TransferCtx* fabric_ctx(int src_rank, int dst_rank,
                                      std::uint64_t seq, bool loopback,
                                      net::TransferCtx& ctx) const;
-  /// NetCongest trace breadcrumb in the apply pass for transfers the settle
-  /// step slowed down.
-  void trace_congestion(const net::TransferCtx* ctx, int src, int dst,
-                        Bytes size, Micros at);
 
   JobState* job_;
   int rank_;

@@ -144,12 +144,6 @@ coll::Algo Communicator::pick(coll::Coll coll, Bytes bytes, int list_size) const
 void Communicator::note_algo(coll::Coll coll, coll::Algo algo, Bytes bytes,
                              Micros begin) {
   engine_->profile().add_coll_algo(coll, algo);
-  if (engine_->job().trace) {
-    engine_->job().trace->record(
-        {sim::TraceKind::CollAlgo, engine_->world_rank(), -1, bytes,
-         engine_->clock().now(),
-         std::string(coll::to_string(coll)) + "/" + coll::to_string(algo)});
-  }
   if (engine_->job().spans)
     engine_->job().spans->record(
         {std::string(coll::to_string(coll)), obs::SpanCat::Coll,

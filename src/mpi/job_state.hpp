@@ -25,7 +25,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "prof/profile.hpp"
-#include "sim/trace.hpp"
 #include "topo/calibration.hpp"
 
 namespace cbmpi::migrate {
@@ -66,15 +65,13 @@ struct JobState {
   std::vector<std::unique_ptr<Matcher>> matchers;   // one per world rank
   std::vector<prof::RankProfile> rank_profiles;     // one per world rank
 
-  sim::TraceRecorder* trace = nullptr;              // optional, may be null
-
   /// Fabric model (all null under FabricModel::Ideal — the flat cost model).
-  /// `net_log` is set only during the record pass, `congestion` only during
-  /// the apply pass; `rank_phys_host` maps each rank to its cluster-wide
-  /// host id and is filled whenever a fabric is attached.
+  /// `net_log` is set only during the record pass (the apply pass hands the
+  /// settled congestion map to the HCA channel); `rank_phys_host` maps each
+  /// rank to its cluster-wide host id and is filled whenever a fabric is
+  /// attached.
   const net::Fabric* fabric = nullptr;
   net::FlowLog* net_log = nullptr;
-  const net::CongestionMap* congestion = nullptr;
   std::vector<int> rank_phys_host;
   bool net_probe = false;  ///< true while the record pass runs
 

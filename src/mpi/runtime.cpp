@@ -26,9 +26,6 @@ void Process::compute(double ops) {
   const Micros before = os_->clock().now();
   os_->compute(ops);
   engine_.profile().add_compute(os_->clock().now() - before);
-  if (engine_.job().trace)
-    engine_.job().trace->record({sim::TraceKind::Compute, rank(), rank(),
-                                 static_cast<Bytes>(ops), os_->clock().now(), ""});
   if (engine_.job().spans)
     engine_.job().spans->record({"compute", obs::SpanCat::Compute, rank(), -1, -1,
                                  static_cast<Bytes>(ops), before,
@@ -390,11 +387,8 @@ JobResult run_job_attempt(const JobConfig& config,
     }
     job.fabric = net->fabric.get();
     job.net_probe = !net->apply;
-    if (net->apply)
-      job.congestion = &net->congestion;
-    else
-      job.net_log = &net->log;
-    job.hca->attach_fabric(job.fabric, job.congestion);
+    if (!net->apply) job.net_log = &net->log;
+    job.hca->attach_fabric(job.fabric, net->apply ? &net->congestion : nullptr);
   }
 
   // --- pin-down registration cache -----------------------------------------
@@ -472,9 +466,6 @@ JobResult run_job_attempt(const JobConfig& config,
         nranks, config.checkpoint_interval, config.restore);
     job.checkpoint = checkpoint_store.get();
   }
-
-  sim::TraceRecorder recorder;
-  if (config.record_trace) job.trace = &recorder;
 
   obs::MetricsRegistry metrics_registry;
   obs::SpanRecorder span_recorder;
@@ -561,9 +552,6 @@ JobResult run_job_attempt(const JobConfig& config,
       job.rank_profile(r).add_recovery(detector.fallback_cost());
       fault_log.record_degradation(
           r, {faults::DegradationKind::HostnameLocalityFallback, r, -1});
-      if (job.trace)
-        job.trace->record({sim::TraceKind::Degrade, r, -1, 0, proc.clock().now(),
-                           "hostname-locality-fallback"});
       if (job.spans)
         job.spans->record({"locality-fallback", obs::SpanCat::Fault, r, -1, -1, 0,
                            proc.clock().now() - detector.fallback_cost(),
@@ -584,10 +572,6 @@ JobResult run_job_attempt(const JobConfig& config,
       if (!rank_ipc_injected[static_cast<std::size_t>(r)]) continue;
       fault_log.record_degradation(
           r, {faults::DegradationKind::IsolatedIpcLocality, r, -1});
-      if (job.trace)
-        job.trace->record({sim::TraceKind::Degrade, r, -1, 0,
-                           processes[static_cast<std::size_t>(r)]->clock().now(),
-                           "isolated-ipc-locality"});
     }
     job.selector->set_detected_locality(std::move(matrix));
   }
@@ -740,7 +724,6 @@ JobResult run_job_attempt(const JobConfig& config,
   if (config.reg_warm && config.tuning.reg_model &&
       (net == nullptr || net->apply))
     config.reg_warm->entries = job.hca->reg_cache()->snapshot_entries();
-  if (config.record_trace) result.trace = recorder.events();
   result.fault_report = fault_log.finalize();
   if (checkpoint_store) {
     result.checkpoints = checkpoint_store->events();

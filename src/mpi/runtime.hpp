@@ -31,7 +31,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "prof/profile.hpp"
-#include "sim/trace.hpp"
 #include "topo/calibration.hpp"
 
 namespace cbmpi::migrate {
@@ -105,8 +104,6 @@ struct JobConfig {
   /// threads start, and the final cache exported back at job end.
   std::shared_ptr<fabric::RegCacheWarmState> reg_warm;
 
-  bool record_trace = false;
-
   /// Attaches the observability layer (obs::MetricsRegistry + span tracing)
   /// to the job: JobResult then carries a metrics snapshot and the recorded
   /// spans. All sampling is in virtual time, so enabling this never changes
@@ -120,7 +117,6 @@ struct JobResult {
   std::vector<Micros> rank_times;  ///< per-rank final virtual clocks
   prof::JobProfile profile;        ///< aggregated over ranks
   std::size_t hca_queue_pairs = 0;
-  std::vector<sim::TraceEvent> trace;  ///< empty unless record_trace
   /// Injected faults, degradation decisions, retry counts, recovery time.
   /// Empty when the job's FaultPlan is the default.
   faults::FaultReport fault_report;

@@ -91,10 +91,6 @@ fabric::OneSidedCosts WindowHandle::account_op(int target, Bytes size,
   engine.profile().add_call(kind, costs.gap);
   auto& last = pending_[static_cast<std::size_t>(target)];
   last = std::max(last, issue + costs.latency);
-  if (job.trace)
-    job.trace->record({kind == prof::CallKind::Get ? sim::TraceKind::Get
-                                                   : sim::TraceKind::Put,
-                       me_world, target_world, size, issue, ""});
   return costs;
 }
 

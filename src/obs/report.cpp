@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/table.hpp"
-#include "sim/trace_export.hpp"
 
 namespace cbmpi::obs {
 
@@ -395,7 +394,6 @@ std::string schedule_report_json(const ReportContext& ctx,
 }
 
 std::string to_perfetto(std::span<const Span> spans,
-                        std::span<const sim::TraceEvent> events,
                         const analysis::Analysis* analysis) {
   // Track layout: pid = rank for rank timelines, pid = kChannelPidBase +
   // channel ordinal for per-channel transfer tracks, pid = kPathPid for the
@@ -415,8 +413,6 @@ std::string to_perfetto(std::span<const Span> spans,
       channel_seen[static_cast<std::size_t>(span.channel)] = true;
     max_rank = std::max(max_rank, span.rank);
   }
-  for (const auto& event : events)
-    if (event.src >= 0) max_rank = std::max(max_rank, event.src);
 
   std::ostringstream os;
   os << "{\"traceEvents\":[";
@@ -478,7 +474,6 @@ std::string to_perfetto(std::span<const Span> spans,
     }
   }
 
-  sim::append_chrome_events(os, events, first);
   os << "],\"displayTimeUnit\":\"ns\"}";
   return os.str();
 }

@@ -21,7 +21,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sched/scheduler.hpp"
-#include "sim/trace.hpp"
 
 namespace cbmpi::obs {
 
@@ -75,14 +74,12 @@ std::string schedule_report_json(const ReportContext& ctx,
                                  const sched::Scheduler& scheduler);
 
 /// Perfetto / chrome://tracing document: spans become duration events
-/// ("ph":"X") on one track per rank plus one per channel; the legacy
-/// instant TraceEvents ride along unchanged ("ph":"i"). Transfers carry
+/// ("ph":"X") on one track per rank plus one per channel. Transfers carry
 /// flow arrows ("ph":"s"/"f") from the sender's hand-off to the receiver's
 /// Proto slice. With a non-null `analysis`, its segments are rendered on a
 /// dedicated "critical path" track. `spans` may be in any order; they are
 /// canonically sorted here.
 std::string to_perfetto(std::span<const Span> spans,
-                        std::span<const sim::TraceEvent> events,
                         const analysis::Analysis* analysis = nullptr);
 
 /// Human-readable one-screen rendering of a metrics snapshot (cbmpirun

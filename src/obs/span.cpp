@@ -27,12 +27,6 @@ std::vector<Span> SpanRecorder::spans() const {
   return spans_;
 }
 
-std::vector<Span> SpanRecorder::sorted_spans() const {
-  auto snapshot = spans();
-  sort_spans(snapshot);
-  return snapshot;
-}
-
 std::size_t SpanRecorder::count() const {
   const std::scoped_lock lock(mutex_);
   return spans_.size();
@@ -43,11 +37,6 @@ std::size_t SpanRecorder::count(SpanCat cat) const {
   return static_cast<std::size_t>(
       std::count_if(spans_.begin(), spans_.end(),
                     [cat](const Span& s) { return s.cat == cat; }));
-}
-
-void SpanRecorder::clear() {
-  const std::scoped_lock lock(mutex_);
-  spans_.clear();
 }
 
 void sort_spans(std::vector<Span>& spans) {

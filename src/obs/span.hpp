@@ -1,6 +1,6 @@
-// Span-based tracing: begin/end intervals in virtual time, upgrading the
-// instant-only sim::TraceEvent stream to something Perfetto renders as
-// duration tracks.
+// Span-based tracing: begin/end intervals in virtual time, the job's one
+// event stream. Perfetto renders them as duration tracks; the analysis
+// engine, run reports and tests read them directly.
 //
 // Span taxonomy (DESIGN.md §12):
 //   Mpi      one user-level MPI call (name = "MPI_Send", ...), rank track
@@ -14,7 +14,7 @@
 //            rank track
 //
 // Recorder appends are thread-safe; append order across rank threads is
-// wall-clock noise, so exporters call sorted_spans() which orders by
+// wall-clock noise, so exporters call sort_spans() which orders by
 // (begin, end desc, cat, rank, peer, name, note) — a total order over the
 // deterministic virtual-time payload, making exports bit-identical across
 // reruns.
@@ -72,13 +72,8 @@ class SpanRecorder {
   /// Snapshot in append order (wall-clock dependent; tests only).
   std::vector<Span> spans() const;
 
-  /// Snapshot in the canonical deterministic order used by every exporter.
-  std::vector<Span> sorted_spans() const;
-
   std::size_t count() const;
   std::size_t count(SpanCat cat) const;
-
-  void clear();
 
  private:
   mutable std::mutex mutex_;

@@ -140,13 +140,13 @@ INSTANTIATE_TEST_SUITE_P(ContainersPerHost, CollEngineShapes,
 
 // ---------------------------------------------------------------------------
 // Selection is observable: the pinned algorithm shows up in the profile's
-// per-collective algorithm counters and as coll-algo trace events.
+// per-collective algorithm counters and as Coll spans.
 // ---------------------------------------------------------------------------
 
 TEST(CollEngineObservability, PinnedAlgorithmShowsInProfileAndTrace) {
   auto cfg = config_for(2, 2, 4);
   cfg.coll_tuning.set_override(coll::Coll::Bcast, coll::Algo::FlatTree);
-  cfg.record_trace = true;
+  cfg.observe = true;
   const auto result = run_job(cfg, [](mpi::Process& p) {
     std::vector<int> data(64, p.rank() == 0 ? 7 : 0);
     p.world().bcast(std::span<int>(data), 0);
@@ -157,11 +157,12 @@ TEST(CollEngineObservability, PinnedAlgorithmShowsInProfileAndTrace) {
   EXPECT_EQ(result.profile.total.coll_algo(coll::Coll::Bcast,
                                            coll::Algo::TwoLevel),
             0u);
-  bool saw_event = false;
-  for (const auto& e : result.trace)
-    if (e.kind == sim::TraceKind::CollAlgo && e.note == "bcast/flat_tree")
-      saw_event = true;
-  EXPECT_TRUE(saw_event);
+  bool saw_span = false;
+  for (const auto& span : result.spans)
+    if (span.cat == obs::SpanCat::Coll && span.name == "bcast" &&
+        span.note == "flat_tree")
+      saw_span = true;
+  EXPECT_TRUE(saw_span);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@
 #include "apps/npb/npb.hpp"
 #include "mpi/datatype.hpp"
 #include "mpi/runtime.hpp"
-#include "sim/trace_export.hpp"
+#include "obs/report.hpp"
 
 namespace cbmpi {
 namespace {
@@ -135,7 +135,7 @@ TEST(Persistent, RestartBeforeCompletionThrows) {
 TEST(TraceExport, ProducesLoadableChromeJson) {
   JobConfig cfg;
   cfg.deployment = DeploymentSpec::native_hosts(1, 2);
-  cfg.record_trace = true;
+  cfg.observe = true;
   const auto result = mpi::run_job(cfg, [](mpi::Process& p) {
     if (p.rank() == 0)
       p.world().send_value<int>(1, 1);
@@ -143,11 +143,11 @@ TEST(TraceExport, ProducesLoadableChromeJson) {
       p.world().recv_value<int>(0);
     p.compute(100.0);
   });
-  const std::string json = sim::to_chrome_trace(result.trace);
+  const std::string json = obs::to_perfetto(result.spans);
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(json.find("send-eager"), std::string::npos);
-  EXPECT_NE(json.find("compute"), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"eager\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"compute\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   // Balanced braces as a cheap well-formedness check.
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
@@ -156,7 +156,7 @@ TEST(TraceExport, ProducesLoadableChromeJson) {
 }
 
 TEST(TraceExport, EmptyTraceIsValid) {
-  const std::string json = sim::to_chrome_trace({});
+  const std::string json = obs::to_perfetto({});
   EXPECT_EQ(json, "{\"traceEvents\":[],\"displayTimeUnit\":\"ns\"}");
 }
 

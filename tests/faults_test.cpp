@@ -189,7 +189,7 @@ TEST(Faults, HcaRetryIsDeterministicAcrossRuns) {
 TEST(Faults, HcaRetriesSlowTheJobDownAndAreTraced) {
   JobConfig config;
   config.deployment = DeploymentSpec::native_hosts(2, 1);
-  config.record_trace = true;
+  config.observe = true;
 
   JobConfig faulty = config;
   faulty.faults.hca_transient_prob = 0.4;
@@ -202,14 +202,16 @@ TEST(Faults, HcaRetriesSlowTheJobDownAndAreTraced) {
   EXPECT_GT(slow.fault_report.time_lost, 0.0);
   EXPECT_GT(slow.job_time, clean.job_time);
 
-  const auto count_kind = [](const auto& trace, sim::TraceKind kind) {
-    return std::count_if(trace.begin(), trace.end(),
-                         [kind](const auto& e) { return e.kind == kind; });
+  const auto retry_spans = [](const mpi::JobResult& result) {
+    return std::count_if(result.spans.begin(), result.spans.end(),
+                         [](const obs::Span& s) {
+                           return s.cat == obs::SpanCat::Fault && s.name == "hca-retry";
+                         });
   };
-  EXPECT_EQ(count_kind(clean.trace, sim::TraceKind::Retry), 0);
-  EXPECT_EQ(count_kind(clean.trace, sim::TraceKind::FaultInject), 0);
-  EXPECT_GT(count_kind(slow.trace, sim::TraceKind::Retry), 0);
-  EXPECT_GT(count_kind(slow.trace, sim::TraceKind::FaultInject), 0);
+  EXPECT_EQ(retry_spans(clean), 0);
+  EXPECT_TRUE(clean.fault_report.injected.empty());
+  EXPECT_GT(retry_spans(slow), 0);
+  EXPECT_FALSE(slow.fault_report.injected.empty());
 }
 
 TEST(Faults, LinkFlapRetriesThroughDownWindows) {

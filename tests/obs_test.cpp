@@ -21,7 +21,6 @@
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "sched/scheduler.hpp"
-#include "sim/trace_export.hpp"
 
 namespace cbmpi {
 namespace {
@@ -433,7 +432,7 @@ TEST(ObsReport, ByteIdenticalAcrossReruns) {
   const auto b = mpi::run_job(obs_job_config(true), obs_job_body);
   EXPECT_EQ(obs::run_report_json(test_context(), a),
             obs::run_report_json(test_context(), b));
-  EXPECT_EQ(obs::to_perfetto(a.spans, a.trace), obs::to_perfetto(b.spans, b.trace));
+  EXPECT_EQ(obs::to_perfetto(a.spans), obs::to_perfetto(b.spans));
 }
 
 TEST(ObsReport, ObserveNeverChangesVirtualTime) {
@@ -450,9 +449,7 @@ TEST(ObsReport, ObserveNeverChangesVirtualTime) {
 }
 
 TEST(ObsReport, SpansNestProperlyOnRankTracks) {
-  auto config = obs_job_config(true);
-  config.record_trace = true;
-  const auto result = mpi::run_job(config, obs_job_body);
+  const auto result = mpi::run_job(obs_job_config(true), obs_job_body);
 
   // Rank-track spans (everything except channel-track Proto spans) must form
   // a proper nesting per rank: in canonical order, a new span either starts
@@ -488,26 +485,24 @@ TEST(ObsReport, SpansNestProperlyOnRankTracks) {
 // ---- perfetto / chrome-trace export ----------------------------------------
 
 TEST(ObsTrace, PerfettoDocumentStructure) {
-  auto config = obs_job_config(true);
-  config.record_trace = true;
-  const auto result = mpi::run_job(config, obs_job_body);
-  const std::string doc = obs::to_perfetto(result.spans, result.trace);
+  const auto result = mpi::run_job(obs_job_config(true), obs_job_body);
+  const std::string doc = obs::to_perfetto(result.spans);
   EXPECT_TRUE(JsonChecker(doc).valid());
   EXPECT_NE(doc.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);  // duration events
   EXPECT_NE(doc.find("\"ph\":\"M\""), std::string::npos);  // track metadata
-  EXPECT_NE(doc.find("\"ph\":\"i\""), std::string::npos);  // instants ride along
+  EXPECT_EQ(doc.find("\"ph\":\"i\""), std::string::npos);  // spans only
   EXPECT_NE(doc.find("\"pid\":1000"), std::string::npos);  // a channel track
   EXPECT_NE(doc.find("rank 0"), std::string::npos);
 }
 
 TEST(ObsTrace, ChromeTraceEscapesNastyNotes) {
-  std::vector<sim::TraceEvent> events;
-  events.push_back({sim::TraceKind::SendEager, 0, 1, 64, 1.0,
-                    "quote \" backslash \\ newline \n tab \t"});
-  events.push_back({sim::TraceKind::RecvComplete, 1, 0, 64, 2.0,
-                    std::string("ctrl \x01\x02\x1f end")});
-  const std::string doc = sim::to_chrome_trace(events);
+  std::vector<obs::Span> spans;
+  spans.push_back({"quote \" backslash \\ newline \n tab \t", obs::SpanCat::Mpi, 0,
+                   1, -1, 64, 1.0, 2.0, "note \" \\ \n"});
+  spans.push_back({"eager", obs::SpanCat::Mpi, 1, 0, -1, 64, 2.0, 3.0,
+                   std::string("ctrl \x01\x02\x1f end")});
+  const std::string doc = obs::to_perfetto(spans);
   EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
   EXPECT_NE(doc.find("\\\""), std::string::npos);
   EXPECT_NE(doc.find("\\\\"), std::string::npos);
@@ -519,8 +514,7 @@ TEST(ObsTrace, ChromeTraceEscapesNastyNotes) {
 }
 
 TEST(ObsTrace, EmptyInputsStillValid) {
-  EXPECT_TRUE(JsonChecker(sim::to_chrome_trace({})).valid());
-  EXPECT_TRUE(JsonChecker(obs::to_perfetto({}, {})).valid());
+  EXPECT_TRUE(JsonChecker(obs::to_perfetto({})).valid());
 }
 
 // ---- scheduler metrics export ----------------------------------------------

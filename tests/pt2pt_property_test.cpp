@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <thread>
 
 #include "mpi/runtime.hpp"
@@ -335,10 +336,21 @@ TEST(Determinism, VirtualTimeReproducible) {
     EXPECT_DOUBLE_EQ(a.rank_times[r], b.rank_times[r]) << "rank " << r;
 }
 
+// Protocol events are read off the Proto spans: a rendezvous span opens when
+// the RTS becomes visible at the receiver (avail_at) and its body is the
+// CTS/data exchange; an eager span runs from arrival to receive completion.
+std::vector<obs::Span> proto_spans(const mpi::JobResult& result,
+                                   const std::string& name) {
+  std::vector<obs::Span> out;
+  for (const auto& span : result.spans)
+    if (span.cat == obs::SpanCat::Proto && span.name == name) out.push_back(span);
+  return out;
+}
+
 TEST(Trace, RendezvousEmitsProtocolEvents) {
   JobConfig cfg;
   cfg.deployment = DeploymentSpec::native_hosts(1, 2);
-  cfg.record_trace = true;
+  cfg.observe = true;
   const auto result = mpi::run_job(cfg, [](mpi::Process& p) {
     std::vector<std::uint8_t> buf(64_KiB);
     if (p.rank() == 0)
@@ -346,34 +358,28 @@ TEST(Trace, RendezvousEmitsProtocolEvents) {
     else
       p.world().recv(std::span<std::uint8_t>(buf), 0);
   });
-  int rts = 0, cts = 0, data = 0;
-  for (const auto& event : result.trace) {
-    if (event.kind == sim::TraceKind::SendRndvRts) ++rts;
-    if (event.kind == sim::TraceKind::RecvRndvCts) ++cts;
-    if (event.kind == sim::TraceKind::SendRndvData) ++data;
-  }
-  EXPECT_EQ(rts, 1);
-  EXPECT_EQ(cts, 1);
-  EXPECT_EQ(data, 1);
+  const auto rndv = proto_spans(result, "rndv");
+  ASSERT_EQ(rndv.size(), 1u);
+  EXPECT_LE(rndv[0].avail_at, rndv[0].begin);
+  EXPECT_LT(rndv[0].begin, rndv[0].end);
+  EXPECT_GE(rndv[0].posted_at, 0.0);
 }
 
 TEST(Trace, EagerEmitsSendAndComplete) {
   JobConfig cfg;
   cfg.deployment = DeploymentSpec::native_hosts(1, 2);
-  cfg.record_trace = true;
+  cfg.observe = true;
   const auto result = mpi::run_job(cfg, [](mpi::Process& p) {
     if (p.rank() == 0)
       p.world().send_value<int>(5, 1);
     else
       p.world().recv_value<int>(0);
   });
-  bool saw_send = false, saw_complete = false;
-  for (const auto& event : result.trace) {
-    if (event.kind == sim::TraceKind::SendEager) saw_send = true;
-    if (event.kind == sim::TraceKind::RecvComplete) saw_complete = true;
-  }
-  EXPECT_TRUE(saw_send);
-  EXPECT_TRUE(saw_complete);
+  const auto eager = proto_spans(result, "eager");
+  ASSERT_EQ(eager.size(), 1u);
+  EXPECT_GE(eager[0].sent_at, 0.0);
+  EXPECT_LE(eager[0].sent_at, eager[0].avail_at);
+  EXPECT_LE(eager[0].avail_at, eager[0].end);
 }
 
 }  // namespace

@@ -1,10 +1,8 @@
-// Unit tests for the simulation primitives: virtual clocks, cost models,
-// trace recording.
+// Unit tests for the simulation primitives: virtual clocks and cost models.
 #include <gtest/gtest.h>
 
 #include "sim/clock.hpp"
 #include "sim/cost_model.hpp"
-#include "sim/trace.hpp"
 
 namespace cbmpi::sim {
 namespace {
@@ -71,31 +69,6 @@ TEST(ComputeModel, LinearInOps) {
   const ComputeModel model{2000.0, 1.0};
   EXPECT_DOUBLE_EQ(model.cost(0.0), 1.0);
   EXPECT_DOUBLE_EQ(model.cost(4000.0), 3.0);
-}
-
-TEST(Trace, RecordsAndCounts) {
-  TraceRecorder recorder;
-  recorder.record({TraceKind::SendEager, 0, 1, 64, 1.0, "SHM"});
-  recorder.record({TraceKind::SendRndvRts, 0, 1, 9000, 2.0, "CMA"});
-  recorder.record({TraceKind::SendEager, 1, 0, 64, 3.0, "SHM"});
-  EXPECT_EQ(recorder.count(TraceKind::SendEager), 2u);
-  EXPECT_EQ(recorder.count(TraceKind::SendRndvRts), 1u);
-  const auto events = recorder.events();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[1].size, 9000u);
-  EXPECT_EQ(events[1].note, "CMA");
-}
-
-TEST(Trace, Clear) {
-  TraceRecorder recorder;
-  recorder.record({TraceKind::Put, 0, 1, 8, 0.0, ""});
-  recorder.clear();
-  EXPECT_TRUE(recorder.events().empty());
-}
-
-TEST(Trace, KindNames) {
-  EXPECT_STREQ(to_string(TraceKind::SendEager), "send-eager");
-  EXPECT_STREQ(to_string(TraceKind::RecvComplete), "recv-complete");
 }
 
 }  // namespace

@@ -86,7 +86,7 @@ void emit_outputs(const LaunchPlan& plan, const mpi::JobResult& result) {
   }
   if (!plan.trace_file.empty()) {
     write_text_file(plan.trace_file,
-                    obs::to_perfetto(result.spans, result.trace, ctx.analysis));
+                    obs::to_perfetto(result.spans, ctx.analysis));
     std::printf("trace written to %s (open in ui.perfetto.dev)\n",
                 plan.trace_file.c_str());
   }
@@ -460,10 +460,9 @@ int main(int argc, char** argv) {
                         plan.analyze);
 
   // Observability costs nothing in virtual time, so any output flag simply
-  // switches it on; --trace-out additionally records the instant events.
+  // switches it on.
   plan.config.observe = plan.show_metrics || plan.analyze ||
                         !plan.report_file.empty() || !plan.trace_file.empty();
-  plan.config.record_trace = !plan.trace_file.empty();
   plan.policy_name = policy == "default" ? "default" : "aware";
 
   if (containers == 0) {

@@ -1,38 +1,43 @@
 #!/usr/bin/env python3
 """Validates cbmpirun observability output, run by the CI `reports` job.
 
-Checks a run report (--report) and/or a Perfetto trace (--trace-out):
+Checks a run report (--report) and/or a Perfetto trace (--trace-out).
+This repo is the only producer, so there is one current report schema:
+`version` must equal the emitter's kRunReportVersion (src/obs/report.hpp),
+and every section check below runs whenever its section is present.
 
 report:
   * schema/version header and the section keys DESIGN.md §12 promises
-  * v2 recovery section: checkpoint events monotone in virtual time and
-    round, restarts <= crashes, recovery counters non-negative
-  * v3 net section (when present): utilizations in [0, 1] with mean <= peak,
-    hop histogram sums to the transfer count, congested <= transfers
-  * v4 reg_cache section (when present): pinned <= peak <= capacity,
-    pinned <= registered, and the headline hit/miss/eviction counts agree
-    with the hca.reg_cache.* metrics counters
-  * v5 analysis section (when present, single and per schedule job): blame
-    times non-negative and summing to the critical path, fractions in
-    [0, 1], segments/top_segments inside [0, critical_path], wait-state
-    and coll-group times non-negative
-  * v6 migration section (when present): a known policy, executed moves a
-    subset of accepted proposals, one record per executed move with a
-    positive quiesce round, a non-negative pause consistent with the
-    headline total, and non-negative locality/pin-down deltas
+  * recovery section: checkpoint events monotone in virtual time and
+    round; schedule reports carry cluster.recovery with non-negative
+    counters, restarts <= crashes, requeues <= crashes, and per-job
+    attempt/outcome/crash rows consistent with it
+  * net section: utilizations in [0, 1] with mean <= peak, hop histogram
+    sums to the transfer count, congested <= transfers
+  * reg_cache section: pinned <= peak <= capacity, pinned <= registered,
+    and the headline hit/miss/eviction counts agree with the
+    hca.reg_cache.* metrics counters
+  * analysis section (single and per schedule job): blame times
+    non-negative and summing to the critical path, fractions in [0, 1],
+    segments/top_segments inside [0, critical_path], wait-state and
+    coll-group times non-negative
+  * migration section: a known policy, executed moves a subset of
+    accepted proposals, one record per executed move with a positive
+    quiesce round, a non-negative pause consistent with the headline
+    total, and non-negative locality/pin-down deltas
     (--expect-migration additionally requires the section to be present)
   * comm_fraction and every other fraction in [0, 1]
   * histogram bucket counts sum to the histogram's count, bucket upper
     bounds strictly ascending, sum consistent with the bucket ranges,
-    and (v5) p50 <= p95 <= p99 with each a valid bucket upper bound
+    and p50 <= p95 <= p99 with each a valid bucket upper bound
   * counter/profile consistency: per-channel op counters equal the
     profile's channel table (Table-I path), eager + rndv sends equal the
     channel-op total
   * spans.by_category counts sum to spans.count
 
-trace:
+trace (spans only; nothing emits instant events):
   * the document is a Chrome/Perfetto trace: {"traceEvents": [...]}
-  * every event has ph in {X, i, M, s, f}, ts >= 0 and (for X) dur >= 0
+  * every event has ph in {X, M, s, f}, ts >= 0 and (for X) dur >= 0
   * X timestamps are monotone in file order per (pid, tid) track
   * duration events nest properly on every rank track (pid < 1000):
     a span that begins inside an open span must end within it
@@ -48,9 +53,13 @@ Exit status is the number of problems found; each problem is printed as
 
 import argparse
 import json
+import os
+import re
 import sys
 
 CHANNEL_PID_BASE = 1000
+REPORT_HEADER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             os.pardir, "src", "obs", "report.hpp")
 REQUIRED_TOP_KEYS = ["schema", "version", "mode", "job", "result", "profile",
                      "metrics", "spans", "faults", "recovery"]
 RECOVERY_COUNTERS = ["crashes", "requeues", "restarts_from_checkpoint",
@@ -74,6 +83,16 @@ def load(path):
     except (OSError, json.JSONDecodeError) as exc:
         problem(path, f"cannot parse: {exc}")
         return None
+
+
+def emitter_version():
+    """The schema version the emitter writes: kRunReportVersion, read from
+    the header so the two cannot drift apart."""
+    with open(REPORT_HEADER, "r", encoding="utf-8") as f:
+        match = re.search(r"kRunReportVersion\s*=\s*(\d+)\s*;", f.read())
+    if match is None:
+        sys.exit(f"{REPORT_HEADER}: kRunReportVersion not found")
+    return int(match.group(1))
 
 
 def check_fraction(path, name, value):
@@ -107,18 +126,17 @@ def check_histogram(path, hist):
     if buckets and not lo <= s <= max_sum:
         problem(path, f"histogram {name}: sum {s} outside the bucket-implied "
                       f"range [{lo}, {max_sum}]")
-    # v5 percentiles: derived from the buckets, so each must be one of the
+    # Percentiles are derived from the buckets, so each must be one of the
     # bucket upper bounds and the sequence must be monotone in q.
     quants = [hist.get(q) for q in ("p50", "p95", "p99")]
-    if any(q is not None for q in quants):
-        if any(q is None for q in quants):
-            problem(path, f"histogram {name}: partial percentile set {quants}")
-        elif not quants[0] <= quants[1] <= quants[2]:
-            problem(path, f"histogram {name}: percentiles not monotone "
-                          f"{quants}")
-        elif buckets and any(q not in uppers for q in quants):
-            problem(path, f"histogram {name}: percentile not a bucket upper "
-                          f"bound ({quants} vs {uppers})")
+    if any(q is None for q in quants):
+        problem(path, f"histogram {name}: missing percentiles {quants}")
+    elif not quants[0] <= quants[1] <= quants[2]:
+        problem(path, f"histogram {name}: percentiles not monotone "
+                      f"{quants}")
+    elif buckets and any(q not in uppers for q in quants):
+        problem(path, f"histogram {name}: percentile not a bucket upper "
+                      f"bound ({quants} vs {uppers})")
 
 
 def check_report(path):
@@ -128,8 +146,10 @@ def check_report(path):
     if doc.get("schema") != "cbmpi.run_report":
         problem(path, f"schema is {doc.get('schema')!r}, "
                       f"expected 'cbmpi.run_report'")
-    if not isinstance(doc.get("version"), int) or doc.get("version") < 1:
-        problem(path, f"version is {doc.get('version')!r}, expected int >= 1")
+    expected = emitter_version()
+    if doc.get("version") != expected:
+        problem(path, f"version is {doc.get('version')!r}, expected "
+                      f"{expected} (kRunReportVersion)")
 
     mode = doc.get("mode")
     if mode == "schedule":
@@ -188,15 +208,15 @@ def check_report(path):
         problem(path, f"spans.by_category sums to {by_cat}, "
                       f"spans.count says {spans.get('count')}")
 
-    if doc.get("version", 0) >= 2:
-        check_recovery(path, doc.get("recovery", {}))
-    if doc.get("version", 0) >= 3 and "net" in doc:
+    if "recovery" in doc:
+        check_recovery(path, doc["recovery"])
+    if "net" in doc:
         check_net(path, doc["net"])
-    if doc.get("version", 0) >= 4 and "reg_cache" in doc:
+    if "reg_cache" in doc:
         check_reg_cache(path, doc["reg_cache"], counters)
-    if doc.get("version", 0) >= 5 and "analysis" in doc:
+    if "analysis" in doc:
         check_analysis(path, doc["analysis"], "analysis")
-    if doc.get("version", 0) >= 6 and "migration" in doc:
+    if "migration" in doc:
         check_migration(path, doc["migration"])
 
 
@@ -205,7 +225,7 @@ BLAME_CATEGORIES = ["compute", "eager", "rndv", "registration", "contention",
 
 
 def check_analysis(path, analysis, where):
-    """v5 analysis section: the critical-path walk tiles [0, critical_path]
+    """Analysis section: the critical-path walk tiles [0, critical_path]
     exactly, so the blame table must sum to the path length; every fraction
     is in [0, 1]; every segment and wait-state time is a non-negative
     virtual-time interval inside the path."""
@@ -262,7 +282,7 @@ def check_analysis(path, analysis, where):
 
 
 def check_net(path, net):
-    """v3 net section: emitted only for non-Ideal fabric runs. Utilizations
+    """Net section: emitted only for non-Ideal fabric runs. Utilizations
     are fractions of link capacity, the hop histogram partitions the recorded
     transfers, and congested transfers are a subset of all transfers."""
     transfers = net.get("transfers", 0)
@@ -294,7 +314,7 @@ def check_net(path, net):
 
 
 def check_reg_cache(path, reg, counters):
-    """v4 reg_cache section: emitted only when the registration model is on.
+    """Reg_cache section: emitted only when the registration model is on.
     Byte gauges obey pinned <= peak <= capacity and pinned <= registered
     (entries still pinned at job end are a subset of everything ever
     registered), and the section's lookup counts must agree with the ADI3
@@ -327,7 +347,7 @@ MIGRATION_POLICIES = ("off", "defrag", "evacuate", "colocate")
 
 
 def check_migration(path, mig):
-    """v6 migration section: counters form a funnel (executed moves are the
+    """Migration section: counters form a funnel (executed moves are the
     accepted proposals that reached their epoch), one record per executed
     move, and each record describes a real container move — a positive
     quiesce round, resume at or after the quiesce, non-negative pause and
@@ -377,7 +397,7 @@ def check_migration(path, mig):
 
 
 def check_recovery(path, recovery):
-    """v2 single-report recovery section: committed checkpoint events must be
+    """Single-report recovery section: committed checkpoint events must be
     monotone in both round and virtual time, and the headline count must
     match the event list."""
     events = recovery.get("events", [])
@@ -405,20 +425,19 @@ def check_recovery(path, recovery):
 def check_schedule(path, doc):
     cluster = doc.get("cluster", {})
     check_fraction(path, "cluster.utilization", cluster.get("utilization", -1))
-    if doc.get("version", 0) >= 6 and "migration" in doc:
+    if "migration" in doc:
         check_migration(path, doc["migration"])
-    if doc.get("version", 0) >= 2:
-        rec = cluster.get("recovery")
-        if not isinstance(rec, dict):
-            problem(path, "v2 schedule report missing cluster.recovery")
-            rec = {}
-        for key in RECOVERY_COUNTERS:
-            if rec.get(key, 0) < 0:
-                problem(path, f"cluster.recovery.{key} is negative")
-        if rec.get("restarts_from_checkpoint", 0) > rec.get("crashes", 0):
-            problem(path, "cluster.recovery: more restarts than crashes")
-        if rec.get("requeues", 0) > rec.get("crashes", 0):
-            problem(path, "cluster.recovery: more requeues than crashes")
+    rec = cluster.get("recovery")
+    if not isinstance(rec, dict):
+        problem(path, "schedule report missing cluster.recovery")
+        rec = {}
+    for key in RECOVERY_COUNTERS:
+        if rec.get(key, 0) < 0:
+            problem(path, f"cluster.recovery.{key} is negative")
+    if rec.get("restarts_from_checkpoint", 0) > rec.get("crashes", 0):
+        problem(path, "cluster.recovery: more restarts than crashes")
+    if rec.get("requeues", 0) > rec.get("crashes", 0):
+        problem(path, "cluster.recovery: more requeues than crashes")
     crashed_rows = 0
     for job in doc.get("jobs", []):
         name = job.get("name", "?")
@@ -428,10 +447,8 @@ def check_schedule(path, doc):
             problem(path, f"job {name}: ended before it started")
         check_fraction(path, f"job {name} intra_host_share",
                        job.get("intra_host_share", -1))
-        if doc.get("version", 0) >= 5 and "analysis" in job:
+        if "analysis" in job:
             check_analysis(path, job["analysis"], f"job {name} analysis")
-        if doc.get("version", 0) < 2:
-            continue
         if job.get("attempt", 0) < 0:
             problem(path, f"job {name}: negative attempt")
         outcome = job.get("outcome")
@@ -447,11 +464,9 @@ def check_schedule(path, doc):
             if crash.get("at_us", -1) <= 0:
                 problem(path, f"job {name}: crash at_us must be a positive "
                               f"virtual time")
-    if doc.get("version", 0) >= 2:
-        crashes = doc.get("cluster", {}).get("recovery", {}).get("crashes", 0)
-        if crashed_rows > crashes:
-            problem(path, f"{crashed_rows} crash rows but cluster.recovery "
-                          f"counts only {crashes} crashes")
+    if crashed_rows > rec.get("crashes", 0):
+        problem(path, f"{crashed_rows} crash rows but cluster.recovery "
+                      f"counts only {rec.get('crashes', 0)} crashes")
 
 
 def check_trace(path):
@@ -470,7 +485,7 @@ def check_trace(path):
     saw_duration = False
     for i, ev in enumerate(events):
         ph = ev.get("ph")
-        if ph not in ("X", "i", "M", "s", "f"):
+        if ph not in ("X", "M", "s", "f"):
             problem(path, f"event {i}: unexpected ph {ph!r}")
             continue
         if ph == "M":
@@ -496,8 +511,6 @@ def check_trace(path):
                     problem(path, f"event {i}: flow id {fid!r} finished twice")
                 flow_finishes.add(fid)
             continue
-        if ph != "X":
-            continue  # instants keep recorder order; only ts >= 0 is claimed
         track = (ev.get("pid", 0), ev.get("tid", 0))
         if ts < last_ts.get(track, 0):
             problem(path, f"event {i}: ts {ts} goes backwards on track {track}")
@@ -537,7 +550,7 @@ def main():
     parser.add_argument("--report", help="run report JSON to validate")
     parser.add_argument("--trace", help="Perfetto trace JSON to validate")
     parser.add_argument("--expect-migration", action="store_true",
-                        help="require the v6 migration section in --report")
+                        help="require the migration section in --report")
     args = parser.parse_args()
     if not args.report and not args.trace:
         parser.error("nothing to check: pass --report and/or --trace")
