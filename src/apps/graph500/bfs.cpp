@@ -1,9 +1,9 @@
 #include "apps/graph500/bfs.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/error.hpp"
+#include "mpi/fiber.hpp"
 
 namespace cbmpi::apps::graph500 {
 
@@ -159,13 +159,13 @@ BfsResult run_bfs(mpi::Process& p, const DistGraph& graph, std::uint64_t root,
         return true;
       };
       while (!all_received()) {
-        if (!poll_receives(level + 1)) std::this_thread::yield();
+        if (!poll_receives(level + 1)) mpi::fiber::yield();
       }
       std::fill(sent_counts.begin(), sent_counts.end(), 0);
       std::fill(received_counts.begin(), received_counts.end(), 0);
       while (!in_flight.empty()) {
         prune_sends();
-        std::this_thread::yield();
+        mpi::fiber::yield();
       }
     }
 

@@ -36,7 +36,8 @@ class RndvState {
   const osl::SimProcess& sender_process() const { return *sender_; }
 
   /// Receiver side: publish the sender's virtual completion time. The
-  /// receiver then pokes the sender's matcher, where a blocked sender sleeps.
+  /// receiver then pokes the sender's matcher, which a blocked sender
+  /// watches.
   void complete(Micros sender_complete_at) {
     sender_complete_at_ = sender_complete_at;
     done_.store(true, std::memory_order_release);

@@ -20,15 +20,29 @@ std::int64_t transfer_id(const fabric::Envelope& env) {
   return (static_cast<std::int64_t>(env.src) << 32) |
          static_cast<std::int64_t>(env.seq & 0xffffffffu);
 }
+
+/// What a rank blocked on `request` waits for, for the deadlock report.
+std::string describe(const RequestState& request) {
+  if (request.kind == RequestState::Kind::Recv)
+    return "a receive from " +
+           Adi3Engine::describe_source(request.src_world, request.tag);
+  return "the receiver to pull its rendezvous send";
+}
 }  // namespace
 
 // A note on MPI_Test/MPI_Iprobe time: an idle poll advances *no* virtual
-// time. A wall-clock polling loop may spin thousands of times waiting for a
-// peer thread to be scheduled, and charging each spin would couple virtual
-// time to host scheduling noise. The true waiting cost is captured exactly
+// time. It yields the fiber instead, and a polling loop may spin many rounds
+// before the peer it waits for gets there; charging each spin would couple
+// virtual time to the schedule. The true waiting cost is captured exactly
 // once, by the advance_to() jump to the request's completion time — which the
 // profiler attributes to the MPI_Test/MPI_Wait call that observed completion,
 // just like mpiP attributes polling time in the real library.
+
+std::string Adi3Engine::describe_source(int src_world, int tag) {
+  return (src_world == kAnySource ? std::string("any rank")
+                                  : "rank " + std::to_string(src_world)) +
+         (tag == kAnyTag ? std::string(", any tag") : ", tag " + std::to_string(tag));
+}
 
 Adi3Engine::Adi3Engine(JobState& job, int world_rank, osl::SimProcess& proc)
     : job_(&job), rank_(world_rank), proc_(&proc) {
@@ -200,12 +214,18 @@ void Adi3Engine::complete_in_arrival_order(std::span<const Request> recvs) {
   }
 
   // Wait until every receive is matched, completing nothing meanwhile —
-  // which messages have arrived at any instant is wall-clock noise.
-  block_until([&] {
-    return std::all_of(pending.begin(), pending.end(), [](const RequestState* r) {
-      return r->matched.load(std::memory_order_acquire);
-    });
-  });
+  // which messages have arrived at any instant depends on the schedule.
+  block_until(
+      [&] {
+        return std::all_of(pending.begin(), pending.end(), [](const RequestState* r) {
+          return r->matched.load(std::memory_order_acquire);
+        });
+      },
+      [&] {
+        for (const RequestState* r : pending)
+          if (!r->matched.load(std::memory_order_acquire)) return describe(*r);
+        return std::string("its receives to complete");
+      });
 
   // Complete in virtual arrival order, so the receiver busy chain is a pure
   // function of the envelopes' timestamps.
@@ -376,7 +396,7 @@ void Adi3Engine::progress() {
   }
 }
 
-bool Adi3Engine::test(const Request& request) {
+bool Adi3Engine::poll(const Request& request) {
   CBMPI_REQUIRE(request != nullptr, "test on null request");
   switch (request->kind) {
     case RequestState::Kind::SendEager:
@@ -395,20 +415,28 @@ bool Adi3Engine::test(const Request& request) {
   return request->complete;
 }
 
+bool Adi3Engine::test(const Request& request) {
+  if (poll(request)) return true;
+  fiber::yield();
+  return false;
+}
+
 Status Adi3Engine::wait(const Request& request) {
   CBMPI_REQUIRE(request != nullptr, "wait on null request");
   // While blocked, keep completing matched receives so head-to-head
   // rendezvous sends cannot deadlock the way a progress-less implementation
   // would.
   if (!request->complete)
-    block_until([&] {
-      if (request->kind == RequestState::Kind::SendRndv && request->rndv->done()) {
-        request->complete_at = request->rndv->sender_complete_at();
-        request->complete = true;
-      }
-      progress();
-      return request->complete;
-    });
+    block_until(
+        [&] {
+          if (request->kind == RequestState::Kind::SendRndv && request->rndv->done()) {
+            request->complete_at = request->rndv->sender_complete_at();
+            request->complete = true;
+          }
+          progress();
+          return request->complete;
+        },
+        [&] { return describe(*request); });
   clock().advance_to(request->complete_at);
   check_crash();
   return request->status;
@@ -502,10 +530,17 @@ void Adi3Engine::cancel(const Request& request) {
     posted_.erase(std::remove(posted_.begin(), posted_.end(), request), posted_.end());
 }
 
-std::optional<Status> Adi3Engine::iprobe(int src_world, int tag,
-                                         std::uint64_t comm_id) {
+std::optional<Status> Adi3Engine::peek(int src_world, int tag,
+                                       std::uint64_t comm_id) {
   progress();
   return matcher().peek(src_world, tag, comm_id);
+}
+
+std::optional<Status> Adi3Engine::iprobe(int src_world, int tag,
+                                         std::uint64_t comm_id) {
+  auto status = peek(src_world, tag, comm_id);
+  if (!status) fiber::yield();
+  return status;
 }
 
 }  // namespace cbmpi::mpi

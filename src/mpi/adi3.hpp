@@ -1,6 +1,6 @@
 // ADI3-like progress engine: byte-level point-to-point protocols.
 //
-// One engine per rank, driven by that rank's thread. Matching lives in the
+// One engine per rank, driven by that rank's fiber. Matching lives in the
 // rank's Matcher (posted and unexpected queues under one lock); the engine
 // keeps only completion — payload copy, virtual-time charge, rendezvous pull
 // and spans — of the receives the matcher bound, and implements the eager
@@ -11,23 +11,27 @@
 // call (and every test) completes *all* matched receives, in post order, not
 // just the one being waited on — that is what lets a peer's blocking
 // rendezvous send complete while this rank waits on an unrelated request,
-// exactly like a real progress engine. A blocked rank sleeps on its own
-// matcher; deliveries, a peer finishing its rendezvous send and job aborts
-// all wake it.
+// exactly like a real progress engine. A blocked rank yields its fiber
+// until its own matcher's version moves; deliveries, a peer finishing its
+// rendezvous send and job aborts all move it. An idle poll (a test on an
+// incomplete request, an iprobe that finds nothing) yields too.
 //
 // Virtual-time rules:
 //   * eager completion  = max(posted_at, available_at) + receiver_cost
 //   * rendezvous times come from the channel's rndv_times(rts_sent, posted_at)
-// Completion times depend only on post/send times (not on when the thread
+// Completion times depend only on post/send times (not on when the fiber
 // happens to run), which keeps results reproducible.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "mpi/fiber.hpp"
 #include "mpi/job_state.hpp"
 #include "mpi/types.hpp"
 #include "osl/process.hpp"
@@ -48,20 +52,29 @@ class Adi3Engine {
   const JobState& job() const { return *job_; }
   prof::RankProfile& profile() { return job_->rank_profile(rank_); }
 
-  /// Blocks until `done()` returns true, sleeping on this rank's matcher:
-  /// deliveries, a peer finishing our rendezvous send and job aborts all
-  /// bump its version. The version is read before the abort flag and
-  /// `done()` are checked, so a wake-up that lands in between is not lost.
-  /// Throws AbortedError once another rank failed the job.
-  template <typename Done>
-  void block_until(Done done) {
+  /// Returns once `done()` is true. Until then the rank waits in
+  /// fiber::wait(), and re-checks `done()` only after this rank's matcher
+  /// version moved: deliveries, a peer finishing our rendezvous send and job
+  /// aborts all bump it. `what()` names what the rank waits for, for the
+  /// deadlock report. Throws AbortedError once another rank failed the job.
+  template <typename Done, typename What>
+  void block_until(Done done, What what) {
+    std::uint64_t seen = matcher().version();
+    check_abort();
+    if (done()) return;
+    const std::function<std::string()> waiting_for = what;
     while (true) {
-      const std::uint64_t seen = matcher().version();
+      fiber::wait(waiting_for);
+      const std::uint64_t now = matcher().version();
+      if (now == seen) continue;
+      seen = now;
       check_abort();
       if (done()) return;
-      matcher().wait_past(seen);
     }
   }
+
+  /// "rank 3, tag 7" or "any rank, any tag", for wait descriptions.
+  static std::string describe_source(int src_world, int tag);
 
   /// Starts a send; the returned request is complete immediately for eager
   /// transfers and completes via the receiver for rendezvous ones. The data
@@ -77,14 +90,18 @@ class Adi3Engine {
   /// Completes every receive in `recvs`, processing messages in *virtual*
   /// arrival order (available_at, src, seq) rather than wall-clock arrival
   /// order — the receiver busy chain then serializes identically
-  /// run-to-run no matter how sender threads were scheduled. Blocks until
+  /// run-to-run no matter how senders were scheduled. Blocks until
   /// all of them are matched, so every matching send must already be
   /// started and non-blocking (e.g. alltoall, where each rank posts all
   /// transfers before waiting), and no test/wait may run between posting
   /// them and this call. Wildcard receives are not supported here.
   void complete_in_arrival_order(std::span<const Request> recvs);
 
-  /// Non-blocking progress + completion check (MPI_Test).
+  /// Progress + completion check without yielding; what test() and
+  /// wait_any() build on.
+  bool poll(const Request& request);
+
+  /// MPI_Test: poll(); an incomplete request also yields the fiber.
   bool test(const Request& request);
 
   /// Blocks until the request completes (MPI_Wait); returns its status.
@@ -96,8 +113,15 @@ class Adi3Engine {
   /// that has not completed. No-op if it already completed.
   void cancel(const Request& request);
 
-  /// MPI_Iprobe: is a matching message pending? (world-relative source)
+  /// Progress + unexpected-queue lookup without yielding: is a matching
+  /// message pending? (world-relative source)
+  std::optional<Status> peek(int src_world, int tag, std::uint64_t comm_id);
+
+  /// MPI_Iprobe: peek(); finding nothing also yields the fiber.
   std::optional<Status> iprobe(int src_world, int tag, std::uint64_t comm_id);
+
+  /// Throws AbortedError once another rank failed the job.
+  void check_abort() const;
 
   /// Crash injection: throws faults::CrashedError once this rank's virtual
   /// clock crosses its scheduled crash time (JobState::crash_at). Checked at
@@ -108,7 +132,6 @@ class Adi3Engine {
 
  private:
   Matcher& matcher() { return job_->matcher(rank_); }
-  void check_abort() const;
   [[noreturn]] void raise_crash();
   /// Fault injection: charges the sender for transient HCA failures of this
   /// transfer — bounded retries with exponential backoff and deterministic

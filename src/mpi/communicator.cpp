@@ -68,18 +68,21 @@ std::size_t Communicator::wait_any(std::span<const Request> requests) {
   CBMPI_REQUIRE(!requests.empty(), "wait_any on an empty request set");
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Wait);
   std::size_t index = 0;
-  engine_->block_until([&] {
-    for (index = 0; index < requests.size(); ++index)
-      if (engine_->test(requests[index])) return true;
-    return false;
-  });
+  engine_->block_until(
+      [&] {
+        for (index = 0; index < requests.size(); ++index)
+          if (engine_->poll(requests[index])) return true;
+        return false;
+      },
+      [&] { return "any of " + std::to_string(requests.size()) + " requests"; });
   return index;
 }
 
 std::optional<std::size_t> Communicator::test_any(std::span<const Request> requests) {
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Test);
   for (std::size_t i = 0; i < requests.size(); ++i)
-    if (engine_->test(requests[i])) return i;
+    if (engine_->poll(requests[i])) return i;
+  fiber::yield();
   return std::nullopt;
 }
 
@@ -87,7 +90,8 @@ bool Communicator::test_all(std::span<const Request> requests) {
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Test);
   bool all = true;
   for (const auto& request : requests)
-    all = engine_->test(request) && all;
+    all = engine_->poll(request) && all;
+  if (!all) fiber::yield();
   return all;
 }
 
@@ -95,10 +99,12 @@ Status Communicator::probe(int src, int tag) {
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Probe);
   const int src_world = src == kAnySource ? kAnySource : to_world(src);
   std::optional<Status> status;
-  engine_->block_until([&] {
-    status = engine_->iprobe(src_world, tag, id_);
-    return status.has_value();
-  });
+  engine_->block_until(
+      [&] {
+        status = engine_->peek(src_world, tag, id_);
+        return status.has_value();
+      },
+      [&] { return "a message from " + Adi3Engine::describe_source(src_world, tag); });
   status->source = from_world(status->source);
   return *status;
 }

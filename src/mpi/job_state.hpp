@@ -1,6 +1,6 @@
 // Internal per-job shared state: channels, selector, matchers, profiles.
 //
-// Created by the runtime before rank threads start; immutable topology-wise
+// Created by the runtime before rank fibers start; immutable topology-wise
 // while the job runs. Matchers and profiles are per-rank; channels and the
 // selector are shared (internally synchronized where needed).
 #pragma once

@@ -4,6 +4,8 @@
 #include <tuple>
 #include <vector>
 
+#include "mpi/fiber.hpp"
+
 namespace cbmpi::mpi {
 
 namespace {
@@ -39,7 +41,7 @@ void Matcher::deliver(fabric::Envelope envelope) {
     }
     ++version_;
   }
-  cv_.notify_all();
+  fiber::changed();
 }
 
 void Matcher::post(const Request& request) {
@@ -96,17 +98,12 @@ std::uint64_t Matcher::version() const {
   return version_;
 }
 
-void Matcher::wait_past(std::uint64_t seen) const {
-  std::unique_lock lock(mutex_);
-  cv_.wait(lock, [&] { return version_ != seen; });
-}
-
 void Matcher::poke() {
   {
     const std::scoped_lock lock(mutex_);
     ++version_;
   }
-  cv_.notify_all();
+  fiber::changed();
 }
 
 std::size_t Matcher::pending() const {

@@ -2,7 +2,7 @@
 //
 // Follows the dual-queue model of MPICH's CH3 device. Both queues sit under
 // one mutex, so every match decision is atomic:
-//   * deliver() (sender threads) binds an arriving envelope to the first
+//   * deliver() (the sending rank) binds an arriving envelope to the first
 //     matching receive in post order, or queues it as unexpected;
 //   * post() (the owning rank) binds a new receive to an unexpected envelope,
 //     or appends it to the posted queue.
@@ -15,12 +15,12 @@
 // possible.
 //
 // The matcher only binds; completion (copy, virtual-time charge, rendezvous
-// pull) is the owning rank's Adi3Engine's job. Every blocked rank sleeps on
-// its own matcher's condition variable: deliveries, rendezvous completions
-// reported by a peer and job aborts all wake it through version().
+// pull) is the owning rank's Adi3Engine's job. A blocked rank yields its
+// fiber until its matcher's version() moves: deliveries, rendezvous
+// completions reported by a peer and job aborts all bump it, and report the
+// change to the fiber scheduler (fiber::changed()).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -33,7 +33,7 @@ namespace cbmpi::mpi {
 
 class Matcher {
  public:
-  /// Called by sender threads.
+  /// Called by the sending rank.
   void deliver(fabric::Envelope envelope);
 
   /// Called by the owning rank: binds `request` to a waiting unexpected
@@ -46,12 +46,9 @@ class Matcher {
   /// Non-destructive unexpected-queue lookup for MPI_Iprobe.
   std::optional<Status> peek(int src_world, int tag, std::uint64_t comm_id) const;
 
-  /// Monotone counter bumped on every delivery and poke; blocked ranks read
-  /// it, re-check their condition, then sleep in wait_past().
+  /// Monotone counter bumped on every delivery and poke; a blocked rank
+  /// re-checks its condition only after it moved.
   std::uint64_t version() const;
-
-  /// Blocks (wall-clock) until version() != seen.
-  void wait_past(std::uint64_t seen) const;
 
   /// Wakes the owner without delivering anything: a peer finished this
   /// rank's rendezvous send, or the job aborted.
@@ -62,7 +59,6 @@ class Matcher {
 
  private:
   mutable std::mutex mutex_;
-  mutable std::condition_variable cv_;
   std::deque<Request> posted_;
   std::deque<fabric::Envelope> unexpected_;
   std::uint64_t version_ = 0;

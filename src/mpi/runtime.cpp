@@ -4,10 +4,10 @@
 #include <limits>
 #include <numeric>
 #include <sstream>
-#include <thread>
 
 #include "container/engine.hpp"
 #include "migrate/coordinator.hpp"
+#include "mpi/fiber.hpp"
 #include "mpi/locality.hpp"
 #include "osl/machine.hpp"
 #include "topo/hardware.hpp"
@@ -164,22 +164,6 @@ void validate_config(const JobConfig& config) {
   CBMPI_REQUIRE(tuning.reg_cost_scale >= 0.0,
                 "reg_cost_scale must be >= 0, got ", tuning.reg_cost_scale);
 }
-
-/// Joins every started rank thread on scope exit. If thread startup itself
-/// fails mid-way, siblings are aborted and joined, never abandoned.
-class ThreadJoiner {
- public:
-  explicit ThreadJoiner(std::vector<std::thread>& threads) : threads_(&threads) {}
-  ~ThreadJoiner() {
-    for (auto& thread : *threads_)
-      if (thread.joinable()) thread.join();
-  }
-  ThreadJoiner(const ThreadJoiner&) = delete;
-  ThreadJoiner& operator=(const ThreadJoiner&) = delete;
-
- private:
-  std::vector<std::thread>* threads_;
-};
 
 container::ContainerSpec container_spec_for(const container::DeploymentSpec& spec,
                                             const container::JobPlacement& placement,
@@ -576,7 +560,7 @@ JobResult run_job_attempt(const JobConfig& config,
     job.selector->set_detected_locality(std::move(matrix));
   }
 
-  // --- run rank threads ----------------------------------------------------
+  // --- run rank fibers -----------------------------------------------------
   auto world_group = [&] {
     std::vector<int> ranks(static_cast<std::size_t>(nranks));
     std::iota(ranks.begin(), ranks.end(), 0);
@@ -589,39 +573,25 @@ JobResult run_job_attempt(const JobConfig& config,
     Micros at = 0.0;
   };
   std::vector<RankFailure> failures(static_cast<std::size_t>(nranks));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(nranks));
-  {
-    ThreadJoiner joiner(threads);
-    for (int r = 0; r < nranks; ++r) {
-      try {
-        threads.emplace_back([&, r] {
-          try {
-            Process process(job, r, *processes[static_cast<std::size_t>(r)],
-                            phase_barrier, world_group);
-            body(process);
-          } catch (...) {
-            auto& failure = failures[static_cast<std::size_t>(r)];
-            failure.error = std::current_exception();
-            failure.at = processes[static_cast<std::size_t>(r)]->clock().now();
-            // Unblock peers that may be blocked waiting on this rank — in a
-            // matcher wait or at the phase barrier; they will observe the
-            // abort and raise. The root cause is rethrown below.
-            job.aborted.store(true, std::memory_order_release);
-            for (auto& matcher : job.matchers) matcher->poke();
-            phase_barrier.abort_all();
-          }
-        });
-      } catch (...) {
-        // Thread startup failed: abort the ranks already running so the
-        // joiner's joins return, then surface the startup failure.
-        job.aborted.store(true, std::memory_order_release);
-        for (auto& matcher : job.matchers) matcher->poke();
-        phase_barrier.abort_all();
-        throw;
-      }
+  // Every rank is a fiber on this thread (mpi/fiber.hpp); a deadlock throws
+  // out of fiber::run once every rank unwound.
+  fiber::run(nranks, [&](int r) {
+    try {
+      Process process(job, r, *processes[static_cast<std::size_t>(r)],
+                      phase_barrier, world_group);
+      body(process);
+    } catch (...) {
+      auto& failure = failures[static_cast<std::size_t>(r)];
+      failure.error = std::current_exception();
+      failure.at = processes[static_cast<std::size_t>(r)]->clock().now();
+      // Release peers that may be waiting on this rank — in a matcher wait
+      // or at the phase barrier; they will observe the abort and raise. The
+      // root cause is rethrown below.
+      job.aborted.store(true, std::memory_order_release);
+      for (auto& matcher : job.matchers) matcher->poke();
+      phase_barrier.abort_all();
     }
-  }
+  });
 
   // Rethrow the *root cause*: the earliest-failing rank whose exception is a
   // genuine failure — a crash (CrashedError) or any non-AbortedError — not a
@@ -659,8 +629,8 @@ JobResult run_job_attempt(const JobConfig& config,
   }
   if (any_crash) {
     // Attribute the crash from the deterministic *schedule*, not from which
-    // thread happened to throw first: the earliest scheduled crash over all
-    // ranks (ties to the lowest rank). Thread interleaving decides which
+    // rank happened to throw first: the earliest scheduled crash over all
+    // ranks (ties to the lowest rank). The fiber schedule decides which
     // bystanders abort before noticing their own crash, but never this.
     faults::CrashInfo info;
     for (int r = 0; r < nranks; ++r) {

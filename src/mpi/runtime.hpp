@@ -1,6 +1,6 @@
-// Job runtime: builds the simulated cluster, deploys containers, spawns one
-// thread per rank, runs the Container Locality Detector, and executes the
-// user's per-rank function.
+// Job runtime: builds the simulated cluster, deploys containers, runs the
+// Container Locality Detector, and executes the user's per-rank function as
+// one fiber per rank on the calling thread (mpi/fiber.hpp).
 //
 //   mpi::JobConfig config;
 //   config.deployment = container::DeploymentSpec::containers(1, 2, 16);

@@ -66,8 +66,8 @@ void apply_reduce(ReduceOp op, std::span<const T> in, std::span<T> inout) {
 }
 
 /// Request shared state. A request is produced by isend/irecv and consumed by
-/// test/wait on the owning rank's thread. A receive is shared with sender
-/// threads only through its matcher (which binds `envelope` under its lock),
+/// test/wait on the owning rank. A receive is shared with senders only
+/// through its matcher (which binds `envelope` under its lock),
 /// a rendezvous send only through its RndvState.
 struct RequestState {
   enum class Kind : std::uint8_t { SendEager, SendRndv, Recv };

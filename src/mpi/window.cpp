@@ -1,8 +1,10 @@
 #include "mpi/window.hpp"
 
 #include <cstring>
+#include <string>
 
 #include "common/rng.hpp"
+#include "mpi/fiber.hpp"
 
 namespace cbmpi::mpi {
 
@@ -138,13 +140,24 @@ void WindowHandle::lock(LockKind kind, int target) {
   auto& held = held_[static_cast<std::size_t>(target)];
   CBMPI_REQUIRE(held == 0, "window already locked for target ", target);
   auto& epoch = *info_->epoch_locks[static_cast<std::size_t>(target)];
-  if (kind == LockKind::Exclusive)
-    epoch.lock();
-  else
-    epoch.lock_shared();
+  auto& engine = comm_->engine();
+  // The holder may itself be parked in a blocking call inside its epoch, so
+  // a busy lock yields this rank's fiber instead of blocking the thread.
+  const auto acquired = [&] {
+    return kind == LockKind::Exclusive ? epoch.try_lock() : epoch.try_lock_shared();
+  };
+  if (!acquired()) {
+    const std::function<std::string()> what = [&] {
+      return std::string(kind == LockKind::Exclusive ? "an exclusive" : "a shared") +
+             " lock on window target " + std::to_string(target);
+    };
+    do {
+      engine.check_abort();
+      fiber::wait(what);
+    } while (!acquired());
+  }
   held = kind == LockKind::Exclusive ? 2 : 1;
   // Acquiring a remote lock costs about one small one-sided round trip.
-  auto& engine = comm_->engine();
   const auto decision =
       engine.job().selector->select(engine.world_rank(), comm_->to_world(target), 8);
   fabric::OneSidedCosts costs;
@@ -172,6 +185,7 @@ void WindowHandle::unlock(int target) {
   else
     epoch.unlock_shared();
   held = 0;
+  fiber::changed();
 }
 
 void WindowHandle::fetch_rmw_bytes(

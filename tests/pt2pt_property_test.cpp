@@ -7,8 +7,8 @@
 #include <atomic>
 #include <numeric>
 #include <string>
-#include <thread>
 
+#include "mpi/fiber.hpp"
 #include "mpi/runtime.hpp"
 
 namespace cbmpi {
@@ -230,9 +230,9 @@ TEST(Pt2PtEdge, ManyOutstandingRequestsDrainCorrectly) {
 }
 
 // Steps two ranks through a fixed interleaving: each rank moves the shared
-// stage forward and waits for the peer's next step.
+// stage forward and yields its fiber until the peer's next step.
 void await_stage(const std::atomic<int>& stage, int value) {
-  while (stage.load() != value) std::this_thread::yield();
+  while (stage.load() != value) mpi::fiber::yield();
 }
 
 TEST(Pt2PtOrder, OlderPostedReceiveMatchesFirst) {

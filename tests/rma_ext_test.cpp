@@ -68,6 +68,26 @@ TEST(RmaPassive, UnlockWithoutLockThrows) {
                Error);
 }
 
+// Rank 0 holds an exclusive epoch on target 2 while it blocks in a receive;
+// rank 1 sends first and only then asks for the same lock. A busy lock must
+// yield the waiting rank rather than block the thread the holder runs on.
+TEST(RmaPassive, LockWaitsWhileHolderBlocksInReceive) {
+  mpi::run_job(cfg(4), [](mpi::Process& p) {
+    std::vector<int> memory(4, 0);
+    mpi::Window<int> window(p.world(), std::span<int>(memory));
+    if (p.rank() == 0) {
+      window.lock(LockKind::Exclusive, 2);
+      EXPECT_EQ(p.world().recv_value<int>(1, 5), 11);
+      window.unlock(2);
+    } else if (p.rank() == 1) {
+      p.world().send_value<int>(11, 0, 5);
+      window.lock(LockKind::Exclusive, 2);
+      window.unlock(2);
+    }
+    p.world().barrier();
+  });
+}
+
 TEST(RmaAtomics, FetchAndAddIsGloballyAtomic) {
   mpi::run_job(cfg(4), [](mpi::Process& p) {
     std::vector<std::int64_t> memory(2, 0);

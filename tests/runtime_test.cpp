@@ -302,6 +302,25 @@ TEST(Runtime, RendezvousHeadToHeadDoesNotDeadlock) {
   });
 }
 
+// Both ranks receive from each other and nobody sends: the job must fail
+// with an error naming each blocked rank, not hang.
+TEST(Runtime, DeadlockFailsNamingEveryBlockedRank) {
+  try {
+    run_job(two_rank_native(),
+            [](mpi::Process& p) { p.world().recv_value<int>(1 - p.rank(), 3); });
+    FAIL() << "a deadlocked job must throw";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 0 waits for a receive from rank 1, tag 3"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("rank 1 waits for a receive from rank 0, tag 3"),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(Runtime, JobTimeIsMaxOfRankTimes) {
   const auto result = run_job(two_rank_native(), [](mpi::Process& p) {
     if (p.rank() == 0) p.compute(50000.0);
